@@ -8,16 +8,50 @@
 
 namespace fap::core::detail {
 
-void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
-                     const std::vector<double>& marginal_u, double alpha,
-                     const std::vector<double>& caps, std::size_t dim,
-                     ActiveSetWorkspace& ws) {
+namespace {
+
+/// Running Σ w_i ∂U_i and Σ w_i, accumulated in insertion order so a
+/// running mean reproduces a fresh left-to-right mean bit for bit.
+template <class Weights>
+struct WeightedSum {
+  double num = 0.0;
+  double den = 0.0;
+  void add(const Weights& weights, std::size_t i, double du) {
+    num += weights.weighted(i, du);
+    den += weights.weight(i);
+  }
+  double mean() const { return num / den; }
+};
+
+/// ū over `subset`, summed in subset order.
+template <class Weights>
+double group_mean(const std::vector<double>& du,
+                  const std::vector<std::size_t>& subset,
+                  const Weights& weights) {
+  WeightedSum<Weights> sum;
+  for (const std::size_t i : subset) {
+    sum.add(weights, i, du[i]);
+  }
+  return sum.mean();
+}
+
+}  // namespace
+
+template <class Weights>
+void active_set(const ConstraintGroup& group, const std::vector<double>& x,
+                const std::vector<double>& marginal_u, double alpha,
+                const std::vector<double>& caps, std::size_t dim,
+                const Weights& weights, ActiveSetWorkspace& ws) {
   FAP_EXPECTS(!group.indices.empty(), "constraint group must be non-empty");
   const std::vector<std::size_t>& members = group.indices;
   const std::size_t m = members.size();
 
   const auto cap_of = [&caps](std::size_t i) {
     return caps.empty() ? std::numeric_limits<double>::infinity() : caps[i];
+  };
+  // Δx_i under the average `avg`.
+  const auto delta = [&](std::size_t i, double avg) {
+    return weights.weighted(i, alpha * (marginal_u[i] - avg));
   };
   const auto pinned = [&](std::size_t i, double d) {
     if (x[i] <= kBoundaryTol && d < 0.0 && x[i] + d <= 0.0) {
@@ -30,17 +64,12 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
   std::vector<std::size_t>& active = ws.active;
   active.clear();
 
-  // Step (i): the reference recomputes mean_over(marginal_u, group.indices)
-  // for every candidate; the sum is the same left-to-right sum each time,
-  // so computing it once is bit-identical.
-  double sum_full = 0.0;
+  // Step (i): the reference recomputes the group mean for every
+  // candidate; the sum is the same left-to-right sum each time, so
+  // computing it once is bit-identical.
+  const double avg_full = group_mean(marginal_u, members, weights);
   for (const std::size_t i : members) {
-    sum_full += marginal_u[i];
-  }
-  const double avg_full = sum_full / static_cast<double>(m);
-  for (const std::size_t i : members) {
-    const double d = alpha * (marginal_u[i] - avg_full);
-    if (!pinned(i, d)) {
+    if (!pinned(i, delta(i, avg_full))) {
       active.push_back(i);
     }
   }
@@ -68,14 +97,10 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
   // the reference would evaluate — bit-identical decisions — and skips
   // the O(dim) bitmask and the two heap builds below.
   if (!active.empty()) {
-    double sum_active = 0.0;
-    for (const std::size_t i : active) {
-      sum_active += marginal_u[i];
-    }
-    const double avg = sum_active / static_cast<double>(active.size());
+    const double avg = group_mean(marginal_u, active, weights);
     bool settled = true;
     for (const std::size_t i : members) {
-      if (pinned(i, alpha * (marginal_u[i] - avg_full))) {
+      if (pinned(i, delta(i, avg_full))) {
         // Excluded by step (i): would round 0's re-admission take it?
         const double gap = marginal_u[i] - avg;
         if ((gap > 0.0 && x[i] < cap_of(i) - kBoundaryTol) ||
@@ -83,7 +108,7 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
           settled = false;
           break;
         }
-      } else if (pinned(i, alpha * (marginal_u[i] - avg))) {
+      } else if (pinned(i, delta(i, avg))) {
         // Active member round 0's drop pass would pin.
         settled = false;
         break;
@@ -177,19 +202,21 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
   for (std::size_t round = 0; round < round_limit; ++round) {
     bool changed = false;
 
-    // Running sum of the active marginal utilities, rebuilt in the active
-    // vector's insertion order so every mean below reproduces the
-    // reference's fresh left-to-right mean_over bit for bit (appending the
-    // admitted node's term to the running sum IS the next left-to-right
+    // Running sums of the active (weighted) marginal utilities, rebuilt in
+    // the active vector's insertion order so every mean below reproduces
+    // the reference's fresh left-to-right mean bit for bit (appending the
+    // admitted node's terms to the running sums IS the next left-to-right
     // sum, because the node is appended at the end).
-    double sum_active = 0.0;
+    WeightedSum<Weights> sum_active;
     for (const std::size_t i : active) {
-      sum_active += marginal_u[i];
+      sum_active.add(weights, i, marginal_u[i]);
     }
 
-    // Re-admission: largest |marginal - average| eligible node first.
+    // Re-admission: largest |marginal - average| eligible node first. The
+    // average is common to every candidate, so the best gainer is the
+    // max-du one and the best loser the min-du one under any weights.
     for (;;) {
-      const double avg = sum_active / static_cast<double>(active.size());
+      const double avg = sum_active.mean();
       const std::size_t gp = peek(gainers, gainer_less);
       const std::size_t lp = peek(losers, loser_less);
       double gainer_gap = 0.0;
@@ -224,18 +251,17 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
       const std::size_t j = members[best_pos];
       active.push_back(j);
       ws.in_active[j] = 1;
-      sum_active += marginal_u[j];
+      sum_active.add(weights, j, marginal_u[j]);
       changed = true;
     }
 
     // Drop: members whose recomputed Δx pins them at a boundary. Dropped
     // nodes go back into the candidate heaps (duplicates are fine — stale
     // copies are skipped on pop).
-    const double avg = sum_active / static_cast<double>(active.size());
+    const double avg = sum_active.mean();
     survivors.clear();
     for (const std::size_t i : active) {
-      const double d = alpha * (marginal_u[i] - avg);
-      if (pinned(i, d)) {
+      if (pinned(i, delta(i, avg))) {
         changed = true;
         ws.in_active[i] = 0;
         const std::size_t p = ws.pos_in_group[i];
@@ -271,5 +297,92 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
   }
   std::sort(active.begin(), active.end());
 }
+
+template void active_set<UnitWeights>(const ConstraintGroup&,
+                                      const std::vector<double>&,
+                                      const std::vector<double>&, double,
+                                      const std::vector<double>&, std::size_t,
+                                      const UnitWeights&,
+                                      ActiveSetWorkspace&);
+template void active_set<VariableWeights>(
+    const ConstraintGroup&, const std::vector<double>&,
+    const std::vector<double>&, double, const std::vector<double>&,
+    std::size_t, const VariableWeights&, ActiveSetWorkspace&);
+
+double marginal_spread(const std::vector<double>& marginal_u,
+                       const std::vector<std::size_t>& active) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const std::size_t i : active) {
+    lo = std::min(lo, marginal_u[i]);
+    hi = std::max(hi, marginal_u[i]);
+  }
+  return hi - lo;
+}
+
+double dynamic_alpha_bound(const std::vector<double>& marginal_u,
+                           const std::vector<double>& second_derivative,
+                           const std::vector<std::size_t>& active,
+                           double fallback) {
+  const double avg = group_mean(marginal_u, active, UnitWeights{});
+  double numerator = 0.0;
+  double denominator = 0.0;
+  for (const std::size_t i : active) {
+    const double dev = marginal_u[i] - avg;
+    numerator += dev * dev;
+    denominator += std::fabs(second_derivative[i]) * dev * dev;
+  }
+  if (denominator <= 0.0) {
+    return fallback;
+  }
+  return 2.0 * numerator / denominator;
+}
+
+template <class Weights>
+double apply_step(const std::vector<std::size_t>& active,
+                  const std::vector<double>& x,
+                  const std::vector<double>& marginal_u, double alpha,
+                  const std::vector<double>& caps, const Weights& weights,
+                  std::vector<double>& deltas, std::vector<double>& x_out) {
+  const auto cap_of = [&caps](std::size_t i) {
+    return caps.empty() ? std::numeric_limits<double>::infinity() : caps[i];
+  };
+  const double avg = group_mean(marginal_u, active, weights);
+  deltas.assign(active.size(), 0.0);
+  double theta = 1.0;
+  for (std::size_t idx = 0; idx < active.size(); ++idx) {
+    const std::size_t i = active[idx];
+    deltas[idx] = weights.weighted(i, alpha * (marginal_u[i] - avg));
+    if (deltas[idx] < 0.0 && x[i] + deltas[idx] < 0.0) {
+      theta = std::min(theta, x[i] / -deltas[idx]);
+    }
+    const double cap = cap_of(i);
+    if (deltas[idx] > 0.0 && x[i] + deltas[idx] > cap) {
+      theta = std::min(theta, (cap - x[i]) / deltas[idx]);
+    }
+  }
+  theta = std::max(theta, 0.0);
+  for (std::size_t idx = 0; idx < active.size(); ++idx) {
+    const std::size_t i = active[idx];
+    double next = x[i] + theta * deltas[idx];
+    if (next < 0.0) {
+      next = 0.0;  // absorb floating-point dust
+    }
+    if (next > cap_of(i)) {
+      next = cap_of(i);
+    }
+    x_out[i] = next;
+  }
+  return theta;
+}
+
+template double apply_step<UnitWeights>(
+    const std::vector<std::size_t>&, const std::vector<double>&,
+    const std::vector<double>&, double, const std::vector<double>&,
+    const UnitWeights&, std::vector<double>&, std::vector<double>&);
+template double apply_step<VariableWeights>(
+    const std::vector<std::size_t>&, const std::vector<double>&,
+    const std::vector<double>&, double, const std::vector<double>&,
+    const VariableWeights&, std::vector<double>&, std::vector<double>&);
 
 }  // namespace fap::core::detail

@@ -2,41 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/contracts.hpp"
 
 namespace fap::core {
-
-namespace {
-
-// Boundary tolerance shared with the fast path; the rationale for
-// boundary-only exclusion lives with its definition in core/active_set.hpp.
-using detail::kBoundaryTol;
-
-// Mean of `values` over the index subset `subset`.
-double mean_over(const std::vector<double>& values,
-                 const std::vector<std::size_t>& subset) {
-  double sum = 0.0;
-  for (const std::size_t i : subset) {
-    sum += values[i];
-  }
-  return sum / static_cast<double>(subset.size());
-}
-
-// max - min of `values` over `subset`.
-double spread_over(const std::vector<double>& values,
-                   const std::vector<std::size_t>& subset) {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (const std::size_t i : subset) {
-    lo = std::min(lo, values[i]);
-    hi = std::max(hi, values[i]);
-  }
-  return hi - lo;
-}
-
-}  // namespace
 
 ResourceDirectedAllocator::ResourceDirectedAllocator(const CostModel& model,
                                                      AllocatorOptions options)
@@ -55,41 +24,9 @@ ResourceDirectedAllocator::ResourceDirectedAllocator(const CostModel& model,
 double ResourceDirectedAllocator::dynamic_alpha_bound(
     const std::vector<double>& x,
     const std::vector<std::size_t>& active) const {
-  const std::vector<double> du = model_.marginal_utilities(x);
-  const std::vector<double> d2c = model_.second_derivative(x);
-  const double avg = mean_over(du, active);
-  double numerator = 0.0;
-  double denominator = 0.0;
-  for (const std::size_t i : active) {
-    const double dev = du[i] - avg;
-    numerator += dev * dev;
-    denominator += std::fabs(d2c[i]) * dev * dev;
-  }
-  if (denominator <= 0.0) {
-    // Locally linear objective (e.g. on the delay model's tangent
-    // extension): the quadratic model imposes no bound; fall back to a
-    // conservative finite step.
-    return options_.alpha;
-  }
-  return 2.0 * numerator / denominator;
-}
-
-double ResourceDirectedAllocator::dynamic_alpha_bound_cached(
-    const std::vector<std::size_t>& active) const {
-  // Same arithmetic as dynamic_alpha_bound, reading the derivatives already
-  // computed into the workspace for the current allocation.
-  const double avg = mean_over(ws_.du, active);
-  double numerator = 0.0;
-  double denominator = 0.0;
-  for (const std::size_t i : active) {
-    const double dev = ws_.du[i] - avg;
-    numerator += dev * dev;
-    denominator += std::fabs(ws_.d2c[i]) * dev * dev;
-  }
-  if (denominator <= 0.0) {
-    return options_.alpha;
-  }
-  return 2.0 * numerator / denominator;
+  return detail::dynamic_alpha_bound(model_.marginal_utilities(x),
+                                     model_.second_derivative(x), active,
+                                     options_.alpha);
 }
 
 void ResourceDirectedAllocator::check_feasible_cached(
@@ -125,115 +62,9 @@ void ResourceDirectedAllocator::check_feasible_cached(
 std::vector<std::size_t> ResourceDirectedAllocator::active_set(
     const ConstraintGroup& group, const std::vector<double>& x,
     const std::vector<double>& marginal_u, double alpha) const {
-  detail::active_set_fast(group, x, marginal_u, alpha, caps_, dim_, ws_.aset);
+  detail::active_set(group, x, marginal_u, alpha, caps_, dim_,
+                     detail::UnitWeights{}, ws_.aset);
   return ws_.aset.active;
-}
-
-std::vector<std::size_t> ResourceDirectedAllocator::active_set_reference(
-    const ConstraintGroup& group, const std::vector<double>& x,
-    const std::vector<double>& marginal_u, double alpha) const {
-  FAP_EXPECTS(!group.indices.empty(), "constraint group must be non-empty");
-  const std::vector<double> caps = model_.upper_bounds();
-  const auto cap_of = [&caps](std::size_t i) {
-    return caps.empty() ? std::numeric_limits<double>::infinity() : caps[i];
-  };
-
-  // Δx under the average of the candidate set `members`.
-  const auto delta = [&](std::size_t i,
-                         const std::vector<std::size_t>& members) {
-    return alpha * (marginal_u[i] - mean_over(marginal_u, members));
-  };
-
-  // A variable pinned at a boundary moving further into it is excluded
-  // (both bounds treated symmetrically: the paper's x_i >= 0 logic, plus
-  // the storage-capacity ceiling of the Suri [33] generalization).
-  const auto pinned = [&](std::size_t i, double d) {
-    if (x[i] <= kBoundaryTol && d < 0.0 && x[i] + d <= 0.0) {
-      return true;  // at the floor, being decreased
-    }
-    const double cap = cap_of(i);
-    return x[i] >= cap - kBoundaryTol && d > 0.0 && x[i] + d >= cap;
-  };
-
-  // Step (i): start from the whole group, keep nodes not pinned under the
-  // full-group average.
-  std::vector<std::size_t> active;
-  active.reserve(group.indices.size());
-  for (const std::size_t i : group.indices) {
-    if (!pinned(i, delta(i, group.indices))) {
-      active.push_back(i);
-    }
-  }
-  if (active.empty()) {
-    // Degenerate; keep the node with the highest marginal utility.
-    const std::size_t best = *std::max_element(
-        group.indices.begin(), group.indices.end(),
-        [&](std::size_t a, std::size_t b) {
-          return marginal_u[a] < marginal_u[b];
-        });
-    active.push_back(best);
-  }
-
-  // Steps (ii)-(v) plus the fixed-point strengthening: alternately
-  // re-admit excluded nodes that would move AWAY from their boundary
-  // (floor-pinned gainers, cap-pinned losers — both safe), and drop
-  // active nodes whose recomputed Δx pins them.
-  const std::size_t round_limit = 2 * group.indices.size() + 2;
-  for (std::size_t round = 0; round < round_limit; ++round) {
-    bool changed = false;
-
-    // Re-admission: largest |marginal - average| eligible node first.
-    for (;;) {
-      const double avg = mean_over(marginal_u, active);
-      std::size_t best = 0;
-      double best_gap = 0.0;
-      bool found = false;
-      for (const std::size_t j : group.indices) {
-        if (std::find(active.begin(), active.end(), j) != active.end()) {
-          continue;
-        }
-        const double gap = marginal_u[j] - avg;
-        const bool safe_gainer = gap > 0.0 && x[j] < cap_of(j) - kBoundaryTol;
-        const bool safe_loser = gap < 0.0 && x[j] > kBoundaryTol;
-        if ((safe_gainer || safe_loser) && std::fabs(gap) > best_gap) {
-          best_gap = std::fabs(gap);
-          best = j;
-          found = true;
-        }
-      }
-      if (!found) {
-        break;
-      }
-      active.push_back(best);
-      changed = true;
-    }
-
-    // Drop: members whose recomputed Δx pins them at a boundary.
-    std::vector<std::size_t> survivors;
-    survivors.reserve(active.size());
-    for (const std::size_t i : active) {
-      if (pinned(i, delta(i, active))) {
-        changed = true;
-        continue;
-      }
-      survivors.push_back(i);
-    }
-    if (survivors.empty()) {
-      // Everyone is a violator only in degenerate corner cases; keep the
-      // best node defensively.
-      survivors.push_back(*std::max_element(
-          active.begin(), active.end(), [&](std::size_t a, std::size_t b) {
-            return marginal_u[a] < marginal_u[b];
-          }));
-    }
-    active = std::move(survivors);
-
-    if (!changed) {
-      break;
-    }
-  }
-  std::sort(active.begin(), active.end());
-  return active;
 }
 
 ResourceDirectedAllocator::StepStats ResourceDirectedAllocator::step_into(
@@ -263,22 +94,22 @@ ResourceDirectedAllocator::StepStats ResourceDirectedAllocator::step_into(
     // this uses the whole group, then is refined over the active set.
     double alpha = options_.alpha;
     if (options_.step_rule == StepRule::kDynamic) {
-      alpha =
-          options_.dynamic_safety * dynamic_alpha_bound_cached(group.indices);
+      alpha = options_.dynamic_safety *
+              detail::dynamic_alpha_bound(ws_.du, ws_.d2c, group.indices,
+                                          options_.alpha);
     }
+    detail::active_set(group, x, ws_.du, alpha, caps_, dim_,
+                       detail::UnitWeights{}, ws_.aset);
     std::vector<std::size_t>& active = ws_.group_active[g];
-    if (options_.use_reference_active_set) {
-      active = active_set_reference(group, x, ws_.du, alpha);
-    } else {
-      detail::active_set_fast(group, x, ws_.du, alpha, caps_, dim_, ws_.aset);
-      active = ws_.aset.active;
-    }
+    active = ws_.aset.active;
     if (options_.step_rule == StepRule::kDynamic) {
-      alpha = options_.dynamic_safety * dynamic_alpha_bound_cached(active);
+      alpha = options_.dynamic_safety *
+              detail::dynamic_alpha_bound(ws_.du, ws_.d2c, active,
+                                          options_.alpha);
     }
     ws_.group_alpha[g] = alpha;
 
-    const double spread = spread_over(ws_.du, active);
+    const double spread = detail::marginal_spread(ws_.du, active);
     max_spread = std::max(max_spread, spread);
     if (spread >= options_.epsilon) {
       all_within_epsilon = false;
@@ -295,40 +126,12 @@ ResourceDirectedAllocator::StepStats ResourceDirectedAllocator::step_into(
 
   // Second pass: apply Δx_i = α (∂U/∂x_i - avg_A) per group, scaled by the
   // largest θ ∈ (0,1] that keeps the group within [0, cap].
-  const auto cap_of = [this](std::size_t i) {
-    return caps_.empty() ? std::numeric_limits<double>::infinity() : caps_[i];
-  };
   double alpha_used = 0.0;
   for (std::size_t g = 0; g < n_groups; ++g) {
-    const std::vector<std::size_t>& active = ws_.group_active[g];
-    const double group_alpha = ws_.group_alpha[g];
-    const double avg = mean_over(ws_.du, active);
-    std::vector<double>& deltas = ws_.deltas;
-    deltas.assign(active.size(), 0.0);
-    double theta = 1.0;
-    for (std::size_t idx = 0; idx < active.size(); ++idx) {
-      const std::size_t i = active[idx];
-      deltas[idx] = group_alpha * (ws_.du[i] - avg);
-      if (deltas[idx] < 0.0 && x[i] + deltas[idx] < 0.0) {
-        theta = std::min(theta, x[i] / -deltas[idx]);
-      }
-      const double cap = cap_of(i);
-      if (deltas[idx] > 0.0 && x[i] + deltas[idx] > cap) {
-        theta = std::min(theta, (cap - x[i]) / deltas[idx]);
-      }
-    }
-    theta = std::max(theta, 0.0);
-    for (std::size_t idx = 0; idx < active.size(); ++idx) {
-      const std::size_t i = active[idx];
-      x_out[i] = x[i] + theta * deltas[idx];
-      if (x_out[i] < 0.0) {
-        x_out[i] = 0.0;  // absorb floating-point dust
-      }
-      if (x_out[i] > cap_of(i)) {
-        x_out[i] = cap_of(i);
-      }
-    }
-    alpha_used = std::max(alpha_used, theta * group_alpha);
+    const double theta = detail::apply_step(
+        ws_.group_active[g], x, ws_.du, ws_.group_alpha[g], caps_,
+        detail::UnitWeights{}, ws_.deltas, x_out);
+    alpha_used = std::max(alpha_used, theta * ws_.group_alpha[g]);
   }
   stats.alpha_used = alpha_used;
   return stats;

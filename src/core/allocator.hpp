@@ -68,12 +68,6 @@ struct AllocatorOptions {
   /// second-order-optimal choice (the bound is the zero of the quadratic
   /// model of ΔU; half of it maximizes that quadratic).
   double dynamic_safety = 0.5;
-  /// Use the O(n²)-per-round reference active-set procedure
-  /// (active_set_reference) instead of the incremental O(n log n) one.
-  /// The two are decision-for-decision identical; this switch exists so
-  /// the equivalence tests (and any future debugging) can pin the fast
-  /// path against the literal Section 5.2 transcription.
-  bool use_reference_active_set = false;
 };
 
 /// State of one iteration, as recorded in the trace. Entry 0 describes the
@@ -140,24 +134,15 @@ class ResourceDirectedAllocator {
   /// for white-box tests. Returned indices are positions into
   /// `group.indices`' index space (i.e. variable indices).
   ///
-  /// This is the fast path: a membership bitmask plus running sums of the
-  /// active marginal utilities (O(1) mean updates) and two lazy heaps over
-  /// the excluded nodes (O(log n) best-|gap| re-admission), replacing the
-  /// reference procedure's per-candidate linear scans. Its decisions —
-  /// and, by construction, the floating-point values every decision is
-  /// based on — are identical to active_set_reference.
+  /// This is the shared fast path (core/active_set.hpp): a membership
+  /// bitmask plus running sums of the active marginal utilities (O(1)
+  /// mean updates) and two lazy heaps over the excluded nodes (O(log n)
+  /// best-|gap| re-admission), replacing the literal procedure's
+  /// per-candidate linear scans with identical decisions.
   std::vector<std::size_t> active_set(const ConstraintGroup& group,
                                       const std::vector<double>& x,
                                       const std::vector<double>& marginal_u,
                                       double alpha) const;
-
-  /// The literal steps (i)-(v) transcription (linear membership scans,
-  /// re-averaged means): O(n²) per drop/re-admit round. Kept as the
-  /// equivalence oracle for active_set; not used on any hot path unless
-  /// AllocatorOptions::use_reference_active_set is set.
-  std::vector<std::size_t> active_set_reference(
-      const ConstraintGroup& group, const std::vector<double>& x,
-      const std::vector<double>& marginal_u, double alpha) const;
 
   const AllocatorOptions& options() const noexcept { return options_; }
 
@@ -180,7 +165,7 @@ class ResourceDirectedAllocator {
     std::vector<double> d2c;             ///< second derivatives (kDynamic)
     std::vector<double> deltas;          ///< per-active-node Δx of one group
     std::vector<double> x_next;          ///< run()'s ping-pong buffer
-    /// Scratch of the shared active-set fast path (core/active_set.hpp);
+    /// Scratch of the shared group step (core/active_set.hpp);
     /// aset.active holds the set under construction.
     detail::ActiveSetWorkspace aset;
     /// Per-group active sets and step sizes of the step() first pass.
@@ -207,11 +192,6 @@ class ResourceDirectedAllocator {
   /// check_feasible against the cached groups/caps — no allocation.
   void check_feasible_cached(const std::vector<double>& x,
                              double sum_tolerance = 1e-9) const;
-
-  /// dynamic_alpha_bound evaluated from the workspace's du/d2c (already
-  /// computed for the current x) instead of re-querying the model.
-  double dynamic_alpha_bound_cached(
-      const std::vector<std::size_t>& active) const;
 
   const CostModel& model_;
   AllocatorOptions options_;

@@ -43,8 +43,6 @@ namespace fap::core {
 
 namespace {
 
-using detail::kBoundaryTol;
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
@@ -65,8 +63,6 @@ std::size_t BatchAllocator::submit(const SingleFileModel& model,
   FAP_EXPECTS(!options.record_trace,
               "BatchAllocator does not record traces; use the serial "
               "ResourceDirectedAllocator for traced runs");
-  FAP_EXPECTS(!options.use_reference_active_set,
-              "BatchAllocator always uses the fast active set");
   model.check_feasible(start);
 
   Instance inst;
@@ -97,8 +93,6 @@ std::size_t BatchAllocator::submit(const RawInstance& raw,
   FAP_EXPECTS(!options.record_trace,
               "BatchAllocator does not record traces; use the serial "
               "ResourceDirectedAllocator for traced runs");
-  FAP_EXPECTS(!options.use_reference_active_set,
-              "BatchAllocator always uses the fast active set");
 
   // Model-level validations, mirroring the SingleFileModel constructor.
   FAP_EXPECTS(raw.n >= 1, "problem needs at least one node");
@@ -250,12 +244,13 @@ void BatchAllocator::compute_derivatives() {
 }
 
 void BatchAllocator::scalar_lane_step(std::size_t lane) {
-  // A lane with a pinned node: gather it into contiguous scratch and run
-  // the serial step verbatim — the SAME shared active-set fast path the
-  // serial allocator calls, then the dynamic-α refinement, spread check
-  // and θ-scaled apply, writing the stepped column into xn.
+  // A lane with a pinned node: gather it into contiguous scratch, run the
+  // serial group step on it — the SAME shared set-A, dynamic-α, spread
+  // and θ-apply code step_into calls (core/active_set.hpp) — and scatter
+  // the stepped column into xn.
   const std::size_t s = soa_.stride;
   const std::size_t n = lane_n_[lane];
+  const bool dynamic = lane_dyn_[lane] != 0;
   gx_.resize(n);
   gdu_.resize(n);
   gcaps_.resize(n);
@@ -263,6 +258,12 @@ void BatchAllocator::scalar_lane_step(std::size_t lane) {
     gx_[j] = soa_.x[j * s + lane];
     gdu_[j] = soa_.du[j * s + lane];
     gcaps_[j] = soa_.cap[j * s + lane];
+  }
+  if (dynamic) {
+    gd2c_.resize(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      gd2c_[j] = soa_.d2c[j * s + lane];
+    }
   }
   ConstraintGroup& group = group_by_n_[n];
   if (group.indices.size() != n) {
@@ -273,75 +274,24 @@ void BatchAllocator::scalar_lane_step(std::size_t lane) {
     group.total = 1.0;
   }
 
+  // soa_.alpha holds the provisional α the step_sizes kernel derived.
   double al = soa_.alpha[lane];
-  detail::active_set_fast(group, gx_, gdu_, al, gcaps_, n, aset_);
+  detail::active_set(group, gx_, gdu_, al, gcaps_, n, detail::UnitWeights{},
+                     aset_);
   const std::vector<std::size_t>& active = aset_.active;
-
-  if (lane_dyn_[lane] != 0) {
-    // Refine α over the active set (dynamic_alpha_bound_cached).
-    double sum = 0.0;
-    for (const std::size_t i : active) {
-      sum += gdu_[i];
-    }
-    const double avg = sum / static_cast<double>(active.size());
-    double numerator = 0.0;
-    double denominator = 0.0;
-    for (const std::size_t i : active) {
-      const double dev = gdu_[i] - avg;
-      numerator += dev * dev;
-      denominator += std::fabs(soa_.d2c[i * s + lane]) * dev * dev;
-    }
-    const double bound = denominator <= 0.0
-                             ? soa_.lane_alpha_opt[lane]
-                             : 2.0 * numerator / denominator;
-    al = soa_.lane_safety[lane] * bound;
+  if (dynamic) {
+    al = soa_.lane_safety[lane] *
+         detail::dynamic_alpha_bound(gdu_, gd2c_, active,
+                                     soa_.lane_alpha_opt[lane]);
   }
-
-  double lo = kInf;
-  double hi = -kInf;
-  for (const std::size_t i : active) {
-    lo = std::min(lo, gdu_[i]);
-    hi = std::max(hi, gdu_[i]);
-  }
-  if (hi - lo < lane_eps_[lane]) {
+  if (detail::marginal_spread(gdu_, active) < lane_eps_[lane]) {
     term_[lane] = 1;
     return;
   }
-
-  double sum = 0.0;
-  for (const std::size_t i : active) {
-    sum += gdu_[i];
-  }
-  const double avg = sum / static_cast<double>(active.size());
-  deltas_.assign(active.size(), 0.0);
-  double theta = 1.0;
-  for (std::size_t idx = 0; idx < active.size(); ++idx) {
-    const std::size_t i = active[idx];
-    deltas_[idx] = al * (gdu_[i] - avg);
-    if (deltas_[idx] < 0.0 && gx_[i] + deltas_[idx] < 0.0) {
-      theta = std::min(theta, gx_[i] / -deltas_[idx]);
-    }
-    const double cp = gcaps_[i];
-    if (deltas_[idx] > 0.0 && gx_[i] + deltas_[idx] > cp) {
-      theta = std::min(theta, (cp - gx_[i]) / deltas_[idx]);
-    }
-  }
-  theta = std::max(theta, 0.0);
-
-  // x_out = x, then overwrite the active entries (serial order).
+  detail::apply_step(active, gx_, gdu_, al, gcaps_, detail::UnitWeights{},
+                     deltas_, gx_);
   for (std::size_t j = 0; j < n; ++j) {
     soa_.xn[j * s + lane] = gx_[j];
-  }
-  for (std::size_t idx = 0; idx < active.size(); ++idx) {
-    const std::size_t i = active[idx];
-    double t = gx_[i] + theta * deltas_[idx];
-    if (t < 0.0) {
-      t = 0.0;  // absorb floating-point dust
-    }
-    if (t > gcaps_[i]) {
-      t = gcaps_[i];
-    }
-    soa_.xn[i * s + lane] = t;
   }
 }
 

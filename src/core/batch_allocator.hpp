@@ -21,7 +21,7 @@
 // cross-lane reduction exists anywhere — each lane executes exactly the
 // scalar operation sequence of ResourceDirectedAllocator::run /
 // Workspace::step_into (same expressions, same order, same boundary
-// logic via the shared core/active_set.hpp fast path), and IEEE-754 ops
+// logic via the shared core/active_set.hpp group step), and IEEE-754 ops
 // are exactly rounded regardless of whether they sit in a vector
 // register. The kernel TUs are compiled with -ffp-contract=off so no FMA
 // contraction can perturb a rounding. Consequently run_all() returns
@@ -40,8 +40,8 @@
 // Supported models: SingleFileModel (any delay discipline; single-server
 // disciplines take the vectorized derivative path, M/M/c lanes fall back
 // to per-lane scalar evaluation), fixed or dynamic step rule, optional
-// storage capacities. Trace recording and the reference active set are
-// not supported (use the serial allocator for those).
+// storage capacities. Trace recording is not supported (use the serial
+// allocator for that).
 #pragma once
 
 #include <cstddef>
@@ -78,8 +78,7 @@ class BatchAllocator {
   /// Enqueues one instance; returns its index into run_all()'s result
   /// vector. Copies everything it needs from `model` (the reference need
   /// not outlive the call). Throws PreconditionError on infeasible
-  /// `start`, invalid options, or options requesting trace recording /
-  /// the reference active set.
+  /// `start`, invalid options, or options requesting trace recording.
   std::size_t submit(const SingleFileModel& model,
                      const AllocatorOptions& options,
                      std::vector<double> start);

@@ -84,7 +84,7 @@ void derivative_rows(BatchSoA& soa, bool with_second) {
 void lane_sums(BatchSoA& soa) {
   const std::size_t live = soa.live;
   // Lane sums Σ_j du (left-to-right over node rows, so bit-equal to the
-  // serial mean_over sums; padding adds trailing +0.0 terms — see the
+  // serial group_mean sums; padding adds trailing +0.0 terms — see the
   // padding notes in batch_allocator.cpp).
   std::fill(soa.sum_full.begin(), soa.sum_full.begin() + live, 0.0);
   for (std::size_t j = 0; j < soa.n_max; ++j) {

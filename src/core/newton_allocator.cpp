@@ -4,41 +4,10 @@
 #include <cmath>
 #include <limits>
 
+#include "core/active_set.hpp"
 #include "util/contracts.hpp"
 
 namespace fap::core {
-
-namespace {
-
-// Boundary threshold for active-set exclusion; see the matching constant in
-// allocator.cpp — interior overshoots are θ-clipped, not frozen.
-constexpr double kBoundaryTol = 1e-12;
-
-// Curvature-weighted mean ū of marginal utilities over `subset`.
-double weighted_mean(const std::vector<double>& du,
-                     const std::vector<double>& inv_h,
-                     const std::vector<std::size_t>& subset) {
-  double num = 0.0;
-  double den = 0.0;
-  for (const std::size_t i : subset) {
-    num += du[i] * inv_h[i];
-    den += inv_h[i];
-  }
-  return num / den;
-}
-
-double spread_over(const std::vector<double>& values,
-                   const std::vector<std::size_t>& subset) {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (const std::size_t i : subset) {
-    lo = std::min(lo, values[i]);
-    hi = std::max(hi, values[i]);
-  }
-  return hi - lo;
-}
-
-}  // namespace
 
 NewtonAllocator::NewtonAllocator(const CostModel& model,
                                  NewtonAllocatorOptions options)
@@ -60,21 +29,21 @@ NewtonAllocator::StepOutcome NewtonAllocator::step(
   const std::vector<double> d2c = model_.second_derivative(x);
   const std::vector<ConstraintGroup> groups = model_.constraint_groups();
 
-  // Inverse curvatures with the relative floor applied per group.
+  // Inverse curvatures with the relative floor applied per group: the
+  // weights of the shared §5.2 group step (core/active_set.hpp).
   std::vector<double> inv_h(du.size(), 1.0);
+  const detail::VariableWeights weights(inv_h);
+  const std::vector<double> no_caps;
 
   StepOutcome outcome;
   outcome.x = x;
   bool all_within_epsilon = true;
   double max_spread = 0.0;
+  detail::ActiveSetWorkspace ws;
+  std::vector<std::vector<std::size_t>> group_active(groups.size());
 
-  struct GroupPlan {
-    std::vector<std::size_t> active;
-  };
-  std::vector<GroupPlan> plans;
-  plans.reserve(groups.size());
-
-  for (const ConstraintGroup& group : groups) {
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const ConstraintGroup& group = groups[g];
     double max_h = 0.0;
     for (const std::size_t i : group.indices) {
       max_h = std::max(max_h, std::fabs(d2c[i]));
@@ -87,77 +56,15 @@ NewtonAllocator::StepOutcome NewtonAllocator::step(
                                                // to first-order weights
     }
 
-    // Active-set determination, mirroring Section 5.2 steps (i)-(v) with
-    // the curvature-weighted average and scaled moves.
-    const auto delta = [&](std::size_t i,
-                           const std::vector<std::size_t>& members) {
-      return options_.alpha * (du[i] - weighted_mean(du, inv_h, members)) *
-             inv_h[i];
-    };
-
-    GroupPlan plan;
-    for (const std::size_t i : group.indices) {
-      if (x[i] > kBoundaryTol || x[i] + delta(i, group.indices) > 0.0) {
-        plan.active.push_back(i);
-      }
-    }
-    if (plan.active.empty()) {
-      plan.active.push_back(*std::max_element(
-          group.indices.begin(), group.indices.end(),
-          [&](std::size_t a, std::size_t b) { return du[a] < du[b]; }));
-    }
-    const std::size_t round_limit = 2 * group.indices.size() + 2;
-    for (std::size_t round = 0; round < round_limit; ++round) {
-      bool changed = false;
-      for (;;) {  // re-admit gainers
-        std::size_t best = 0;
-        double best_du = -std::numeric_limits<double>::infinity();
-        bool found = false;
-        for (const std::size_t j : group.indices) {
-          if (std::find(plan.active.begin(), plan.active.end(), j) !=
-              plan.active.end()) {
-            continue;
-          }
-          if (du[j] > best_du) {
-            best_du = du[j];
-            best = j;
-            found = true;
-          }
-        }
-        if (!found || best_du <= weighted_mean(du, inv_h, plan.active)) {
-          break;
-        }
-        plan.active.push_back(best);
-        changed = true;
-      }
-      std::vector<std::size_t> survivors;
-      for (const std::size_t i : plan.active) {
-        const double d = delta(i, plan.active);
-        if (x[i] <= kBoundaryTol && d < 0.0 && x[i] + d <= 0.0) {
-          changed = true;
-          continue;
-        }
-        survivors.push_back(i);
-      }
-      if (survivors.empty()) {
-        survivors.push_back(*std::max_element(
-            plan.active.begin(), plan.active.end(),
-            [&](std::size_t a, std::size_t b) { return du[a] < du[b]; }));
-      }
-      plan.active = std::move(survivors);
-      if (!changed) {
-        break;
-      }
-    }
-    std::sort(plan.active.begin(), plan.active.end());
-
-    const double spread = spread_over(du, plan.active);
+    detail::active_set(group, x, du, options_.alpha, no_caps, du.size(),
+                       weights, ws);
+    group_active[g] = ws.active;
+    const double spread = detail::marginal_spread(du, group_active[g]);
     max_spread = std::max(max_spread, spread);
     if (spread >= options_.epsilon) {
       all_within_epsilon = false;
     }
-    outcome.active_set_size += plan.active.size();
-    plans.push_back(std::move(plan));
+    outcome.active_set_size += group_active[g].size();
   }
 
   outcome.marginal_spread = max_spread;
@@ -166,21 +73,11 @@ NewtonAllocator::StepOutcome NewtonAllocator::step(
     return outcome;
   }
 
-  for (const GroupPlan& plan : plans) {
-    const double avg = weighted_mean(du, inv_h, plan.active);
-    std::vector<double> deltas(plan.active.size());
-    double theta = 1.0;
-    for (std::size_t idx = 0; idx < plan.active.size(); ++idx) {
-      const std::size_t i = plan.active[idx];
-      deltas[idx] = options_.alpha * (du[i] - avg) * inv_h[i];
-      if (deltas[idx] < 0.0 && x[i] + deltas[idx] < 0.0) {
-        theta = std::min(theta, x[i] / -deltas[idx]);
-      }
-    }
-    for (std::size_t idx = 0; idx < plan.active.size(); ++idx) {
-      const std::size_t i = plan.active[idx];
-      outcome.x[i] = std::max(0.0, x[i] + theta * deltas[idx]);
-    }
+  std::vector<double> deltas;
+  for (const std::vector<std::size_t>& active : group_active) {
+    const double theta = detail::apply_step(active, x, du, options_.alpha,
+                                            no_caps, weights, deltas,
+                                            outcome.x);
     outcome.alpha_used = std::max(outcome.alpha_used, theta * options_.alpha);
   }
   return outcome;
@@ -214,6 +111,12 @@ AllocationResult NewtonAllocator::run(std::vector<double> initial) const {
     }
     result.x = std::move(outcome.x);
     ++result.iterations;
+  }
+  if (!result.converged && options_.record_trace) {
+    // Record the final state reached at the iteration cap.
+    StepOutcome final_state;
+    final_state.terminal = true;
+    record(result.iterations, final_state);
   }
   result.cost = model_.cost(result.x);
   return result;

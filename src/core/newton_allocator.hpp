@@ -20,6 +20,10 @@
 // update — and hence a good choice of α — is invariant to problem scale;
 // the A2 ablation bench demonstrates this against the first-order
 // algorithm.
+//
+// Set A, the termination spread and the θ-scaled apply are core's shared
+// Section 5.2 group step (core/active_set.hpp) instantiated with the
+// per-variable weights w_i = 1/h_i; this class only derives the weights.
 #pragma once
 
 #include <cstddef>

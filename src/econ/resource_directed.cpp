@@ -1,97 +1,10 @@
 #include "econ/resource_directed.hpp"
 
-#include <algorithm>
-#include <limits>
-
+#include "core/active_set.hpp"
+#include "core/cost_model.hpp"
 #include "util/contracts.hpp"
 
 namespace fap::econ {
-
-namespace {
-
-// Boundary threshold for active-set exclusion; interior overshoots are
-// θ-clipped in the update, not frozen (see core/allocator.cpp).
-constexpr double kBoundaryTol = 1e-12;
-
-double mean_over(const std::vector<double>& values,
-                 const std::vector<std::size_t>& subset) {
-  double sum = 0.0;
-  for (const std::size_t i : subset) {
-    sum += values[i];
-  }
-  return sum / static_cast<double>(subset.size());
-}
-
-// Section 5.2 active-set procedure applied to generic marginals.
-std::vector<std::size_t> active_set(const std::vector<double>& x,
-                                    const std::vector<double>& marginals,
-                                    double alpha) {
-  const std::size_t n = x.size();
-  std::vector<std::size_t> all(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    all[i] = i;
-  }
-  const double avg_all = mean_over(marginals, all);
-  std::vector<std::size_t> active;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (x[i] > kBoundaryTol ||
-        x[i] + alpha * (marginals[i] - avg_all) > 0.0) {
-      active.push_back(i);
-    }
-  }
-  if (active.empty()) {
-    active.push_back(static_cast<std::size_t>(
-        std::max_element(marginals.begin(), marginals.end()) -
-        marginals.begin()));
-  }
-  for (std::size_t round = 0; round < 2 * n + 2; ++round) {
-    bool changed = false;
-    for (;;) {
-      double best = -std::numeric_limits<double>::infinity();
-      std::size_t best_i = 0;
-      bool found = false;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (std::find(active.begin(), active.end(), j) != active.end()) {
-          continue;
-        }
-        if (marginals[j] > best) {
-          best = marginals[j];
-          best_i = j;
-          found = true;
-        }
-      }
-      if (!found || best <= mean_over(marginals, active)) {
-        break;
-      }
-      active.push_back(best_i);
-      changed = true;
-    }
-    std::vector<std::size_t> survivors;
-    const double avg = mean_over(marginals, active);
-    for (const std::size_t i : active) {
-      const double d = alpha * (marginals[i] - avg);
-      if (x[i] <= kBoundaryTol && d < 0.0 && x[i] + d <= 0.0) {
-        changed = true;
-        continue;
-      }
-      survivors.push_back(i);
-    }
-    if (survivors.empty()) {
-      survivors.push_back(*std::max_element(
-          active.begin(), active.end(), [&](std::size_t a, std::size_t b) {
-            return marginals[a] < marginals[b];
-          }));
-    }
-    active = std::move(survivors);
-    if (!changed) {
-      break;
-    }
-  }
-  std::sort(active.begin(), active.end());
-  return active;
-}
-
-}  // namespace
 
 PlannerResult resource_directed_plan(const std::vector<ConcaveUtility>& agents,
                                      std::vector<double> initial,
@@ -129,38 +42,39 @@ PlannerResult resource_directed_plan(const std::vector<ConcaveUtility>& agents,
     result.trace.push_back(std::move(rec));
   };
 
+  // Heal's procedure is the §5.2 group step on one group with no caps;
+  // core runs it (core/active_set.hpp).
+  core::ConstraintGroup group;
+  group.indices.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    group.indices[i] = i;
+    group.total += result.x[i];
+  }
+  const std::vector<double> no_caps;
+  core::detail::ActiveSetWorkspace ws;
+  // Set A at result.x (left in ws.active) and its marginal spread.
+  const auto active_spread = [&](const std::vector<double>& marginals) {
+    core::detail::active_set(group, result.x, marginals, options.alpha,
+                             no_caps, n, core::detail::UnitWeights{}, ws);
+    return core::detail::marginal_spread(marginals, ws.active);
+  };
+  std::vector<double> deltas;
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     const std::vector<double> marginals = marginals_at(result.x);
-    const std::vector<std::size_t> active =
-        active_set(result.x, marginals, options.alpha);
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -lo;
-    for (const std::size_t i : active) {
-      lo = std::min(lo, marginals[i]);
-      hi = std::max(hi, marginals[i]);
-    }
-    const double spread = hi - lo;
+    const double spread = active_spread(marginals);
     record(iter, spread);
     if (spread < options.epsilon) {
       result.converged = true;
       break;
     }
-
-    const double avg = mean_over(marginals, active);
-    double theta = 1.0;
-    std::vector<double> deltas(active.size());
-    for (std::size_t idx = 0; idx < active.size(); ++idx) {
-      const std::size_t i = active[idx];
-      deltas[idx] = options.alpha * (marginals[i] - avg);
-      if (deltas[idx] < 0.0 && result.x[i] + deltas[idx] < 0.0) {
-        theta = std::min(theta, result.x[i] / -deltas[idx]);
-      }
-    }
-    for (std::size_t idx = 0; idx < active.size(); ++idx) {
-      const std::size_t i = active[idx];
-      result.x[i] = std::max(0.0, result.x[i] + theta * deltas[idx]);
-    }
+    core::detail::apply_step(ws.active, result.x, marginals, options.alpha,
+                             no_caps, core::detail::UnitWeights{}, deltas,
+                             result.x);
     ++result.iterations;
+  }
+  if (!result.converged && options.record_trace) {
+    // Record the final state reached at the iteration cap.
+    record(result.iterations, active_spread(marginals_at(result.x)));
   }
   result.social_utility = social_utility(agents, result.x);
   return result;

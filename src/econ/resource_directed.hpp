@@ -15,7 +15,8 @@
 // generic version exists to demonstrate (and test) the mechanism on
 // arbitrary concave utilities, exactly as the paper claims: "the
 // optimization algorithm itself is very general in nature and can be
-// applied to any arbitrary resource allocation problem".
+// applied to any arbitrary resource allocation problem". The code says the
+// same: this planner is an adapter over core's group step.
 #pragma once
 
 #include <cstddef>
@@ -49,9 +50,12 @@ struct PlannerResult {
 
 /// Runs the resource-directed procedure from `initial` (which must be
 /// non-negative and sum to the resource total, inferred from the initial
-/// allocation itself). The active set excludes agents that would be pushed
-/// non-positive, with re-admission by highest marginal utility, mirroring
-/// Section 5.2 steps (i)-(v).
+/// allocation itself). Each iteration is core's Section 5.2 group step
+/// (core/active_set.hpp) on one uncapped group with unit weights: the
+/// active set excludes agents that would be pushed below zero, re-admits
+/// excluded agents whose marginal utility beats the active average, and
+/// interior overshoots are θ-scaled. A traced run that stops at the
+/// iteration cap also records the final state reached.
 PlannerResult resource_directed_plan(const std::vector<ConcaveUtility>& agents,
                                      std::vector<double> initial,
                                      const PlannerOptions& options);

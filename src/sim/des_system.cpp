@@ -22,8 +22,8 @@
 // to fresh construction without releasing storage.
 //
 // Equivalence to the previous engine is pinned by the golden-trace suite
-// (tests/sim_des_engine_equiv_test.cpp) against DesReferenceSystem, the
-// old engine kept verbatim in des_reference.cpp.
+// (tests/sim_des_engine_equiv_test.cpp) against the old engine, kept
+// verbatim as a test-only oracle in tests/support/des_reference.cpp.
 #include "sim/des_system.hpp"
 
 #include <algorithm>
@@ -244,8 +244,9 @@ struct Server {
   /// In-service job slots in dispatch order. Dispatch order is ascending
   /// job-creation order, so iterating this vector reproduces the
   /// canonical ascending-job-id busy-time summation order shared with
-  /// DesReferenceSystem. At most `capacity` entries, so the ordered
-  /// erase on departure is O(capacity) — single-digit in practice.
+  /// the reference engine in tests/support. At most `capacity` entries,
+  /// so the ordered erase on departure is O(capacity) — single-digit in
+  /// practice.
   std::vector<std::uint32_t> active;
 };
 

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
 #include "baselines/projected_gradient.hpp"
+#include "core/active_set.hpp"
 #include "core/single_file.hpp"
+#include "support/active_set_reference.hpp"
 #include "test_helpers.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
@@ -352,10 +355,12 @@ TEST(Allocator, ActiveSetExcludesOnlyBoundaryNodes) {
 //
 // The O(n log n) incremental active-set procedure claims *decision*
 // equivalence with the literal Section 5.2 transcription
-// (active_set_reference), not merely agreement in the limit. These
-// parameterized tests pin that claim across randomized instances: the two
-// procedures must return the same index set at the starting allocation,
-// and full runs driven by each must produce bit-identical trajectories.
+// (fap::testing::active_set_reference), not merely agreement in the
+// limit. These parameterized tests pin that claim across randomized
+// instances: the two procedures must return the same index set at the
+// starting allocation and at every iterate of a recorded run, at the
+// provisional α the run's step used there — for unit weights (the §5.2
+// rule) and for seeded positive weights (the NewtonAllocator rule).
 
 struct EquivalenceInstance {
   core::SingleFileModel model;
@@ -406,6 +411,34 @@ EquivalenceInstance equivalence_instance(std::uint64_t seed) {
   return {std::move(model), std::move(start), rng.uniform(0.05, 1.0)};
 }
 
+// A recorded run of the fast allocator from the instance's start; a third
+// of the seeds use the dynamic step rule, which feeds the active set back
+// into the α computation, so a divergence would compound.
+core::AllocatorOptions trajectory_options(const EquivalenceInstance& inst,
+                                          std::uint64_t seed) {
+  core::AllocatorOptions options;
+  options.alpha = inst.alpha;
+  options.epsilon = 1e-4;
+  options.max_iterations = 300;
+  options.record_trace = true;
+  if (seed % 3 == 0) {
+    options.step_rule = core::StepRule::kDynamic;
+  }
+  return options;
+}
+
+// The provisional α step_into passes to set A for `group` at x.
+double provisional_alpha(const core::ResourceDirectedAllocator& allocator,
+                         const std::vector<double>& x,
+                         const core::ConstraintGroup& group) {
+  const core::AllocatorOptions& options = allocator.options();
+  if (options.step_rule != core::StepRule::kDynamic) {
+    return options.alpha;
+  }
+  return options.dynamic_safety *
+         allocator.dynamic_alpha_bound(x, group.indices);
+}
+
 class ActiveSetEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ActiveSetEquivalenceTest, FastMatchesReferenceAtStart) {
@@ -417,48 +450,77 @@ TEST_P(ActiveSetEquivalenceTest, FastMatchesReferenceAtStart) {
   const std::vector<double> du = inst.model.marginal_utilities(inst.start);
   for (const core::ConstraintGroup& group : inst.model.constraint_groups()) {
     EXPECT_EQ(allocator.active_set(group, inst.start, du, inst.alpha),
-              allocator.active_set_reference(group, inst.start, du,
-                                             inst.alpha))
+              fap::testing::active_set_reference(group, inst.start, du,
+                                                 inst.alpha,
+                                                 inst.model.upper_bounds()))
         << "seed=" << seed;
   }
 }
 
+// Per-iterate decision check: at every x_t of the recorded run, the fast
+// set equals the reference set at the provisional α the step used, and
+// the trace's active-set size is the reference's.
 TEST_P(ActiveSetEquivalenceTest, RunTrajectoriesAreBitIdentical) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const EquivalenceInstance inst = equivalence_instance(seed);
-  core::AllocatorOptions options;
-  options.alpha = inst.alpha;
-  options.epsilon = 1e-4;
-  options.max_iterations = 300;
-  options.record_trace = true;
-  // Exercise the dynamic step rule on a third of the seeds: it feeds the
-  // active set back into the α computation, so a divergence would compound.
-  if (seed % 3 == 0) {
-    options.step_rule = core::StepRule::kDynamic;
-  }
-  const core::ResourceDirectedAllocator fast(inst.model, options);
-  options.use_reference_active_set = true;
-  const core::ResourceDirectedAllocator reference(inst.model, options);
-
-  const core::AllocationResult a = fast.run(inst.start);
-  const core::AllocationResult b = reference.run(inst.start);
-  ASSERT_EQ(a.iterations, b.iterations) << "seed=" << seed;
-  ASSERT_EQ(a.converged, b.converged) << "seed=" << seed;
-  EXPECT_EQ(a.x, b.x) << "seed=" << seed;  // element-wise bitwise equality
-  EXPECT_EQ(a.cost, b.cost) << "seed=" << seed;
-  ASSERT_EQ(a.trace.size(), b.trace.size()) << "seed=" << seed;
-  for (std::size_t t = 0; t < a.trace.size(); ++t) {
-    EXPECT_EQ(a.trace[t].x, b.trace[t].x) << "seed=" << seed << " it=" << t;
-    EXPECT_EQ(a.trace[t].alpha, b.trace[t].alpha)
-        << "seed=" << seed << " it=" << t;
-    EXPECT_EQ(a.trace[t].active_set_size, b.trace[t].active_set_size)
-        << "seed=" << seed << " it=" << t;
-    EXPECT_EQ(a.trace[t].marginal_spread, b.trace[t].marginal_spread)
-        << "seed=" << seed << " it=" << t;
+  const core::ResourceDirectedAllocator allocator(
+      inst.model, trajectory_options(inst, seed));
+  const core::AllocationResult result = allocator.run(inst.start);
+  const std::vector<double> caps = inst.model.upper_bounds();
+  ASSERT_FALSE(result.trace.empty());
+  for (std::size_t t = 0; t < result.trace.size(); ++t) {
+    const std::vector<double>& x = result.trace[t].x;
+    const std::vector<double> du = inst.model.marginal_utilities(x);
+    std::size_t reference_size = 0;
+    for (const core::ConstraintGroup& group :
+         inst.model.constraint_groups()) {
+      const double alpha = provisional_alpha(allocator, x, group);
+      const std::vector<std::size_t> reference =
+          fap::testing::active_set_reference(group, x, du, alpha, caps);
+      EXPECT_EQ(allocator.active_set(group, x, du, alpha), reference)
+          << "seed=" << seed << " it=" << t;
+      reference_size += reference.size();
+    }
+    // The state recorded at the iteration cap is not stepped from.
+    if (result.converged || t + 1 < result.trace.size()) {
+      EXPECT_EQ(result.trace[t].active_set_size, reference_size)
+          << "seed=" << seed << " it=" << t;
+    }
   }
 }
 
-// 200 randomized instances (the two TEST_Ps above share them), covering
+// The same decision check under seeded positive per-variable weights
+// (w_i ∈ [0.05, 20], spanning the dynamic range of Newton's 1/h_i).
+TEST_P(ActiveSetEquivalenceTest, WeightedFastMatchesReferenceAlongRun) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const EquivalenceInstance inst = equivalence_instance(seed);
+  const core::ResourceDirectedAllocator allocator(
+      inst.model, trajectory_options(inst, seed));
+  const core::AllocationResult result = allocator.run(inst.start);
+  const std::vector<double> caps = inst.model.upper_bounds();
+  fap::util::Rng rng(seed * 104729 + 7);
+  std::vector<double> w(inst.model.dimension());
+  for (double& wi : w) {
+    wi = std::exp(rng.uniform(std::log(0.05), std::log(20.0)));
+  }
+  const core::detail::VariableWeights weights(w);
+  core::detail::ActiveSetWorkspace ws;
+  for (std::size_t t = 0; t < result.trace.size(); ++t) {
+    const std::vector<double>& x = result.trace[t].x;
+    const std::vector<double> du = inst.model.marginal_utilities(x);
+    for (const core::ConstraintGroup& group :
+         inst.model.constraint_groups()) {
+      const double alpha = provisional_alpha(allocator, x, group);
+      core::detail::active_set(group, x, du, alpha, caps, x.size(), weights,
+                               ws);
+      EXPECT_EQ(ws.active, fap::testing::active_set_reference(
+                               group, x, du, alpha, caps, w))
+          << "seed=" << seed << " it=" << t;
+    }
+  }
+}
+
+// 200 randomized instances (the TEST_Ps above share them), covering
 // unconstrained, capacity-constrained, and boundary-pinned shapes.
 INSTANTIATE_TEST_SUITE_P(RandomInstances, ActiveSetEquivalenceTest,
                          ::testing::Range(1, 201));
@@ -466,22 +528,56 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, ActiveSetEquivalenceTest,
 TEST(Allocator, StepMatchesBetweenFastAndReferencePaths) {
   // One explicit capacity-pinned corner: a variable exactly at its cap
   // with above-average marginal utility must be excluded identically by
-  // both procedures.
+  // both procedures, and the step must move exactly that set.
   core::SingleFileProblem problem =
       fap::testing::random_single_file_problem(42, 6);
   problem.storage_capacity = {0.3, 0.3, 0.3, 0.3, 0.3, 0.3};
   const core::SingleFileModel model(std::move(problem));
   core::AllocatorOptions options;
   options.alpha = 0.5;
-  const core::ResourceDirectedAllocator fast(model, options);
-  options.use_reference_active_set = true;
-  const core::ResourceDirectedAllocator reference(model, options);
+  const core::ResourceDirectedAllocator allocator(model, options);
   const std::vector<double> x{0.3, 0.3, 0.3, 0.1, 0.0, 0.0};
-  const auto a = fast.step(x);
-  const auto b = reference.step(x);
-  EXPECT_EQ(a.x, b.x);
-  EXPECT_EQ(a.active_set_size, b.active_set_size);
-  EXPECT_EQ(a.alpha_used, b.alpha_used);
+  const std::vector<double> du = model.marginal_utilities(x);
+  const core::ConstraintGroup group = model.constraint_groups().front();
+  const std::vector<std::size_t> reference =
+      fap::testing::active_set_reference(group, x, du, options.alpha,
+                                         model.upper_bounds());
+  EXPECT_EQ(allocator.active_set(group, x, du, options.alpha), reference);
+  const auto step = allocator.step(x);
+  EXPECT_EQ(step.active_set_size, reference.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (std::find(reference.begin(), reference.end(), i) == reference.end()) {
+      EXPECT_EQ(step.x[i], x[i]) << "node " << i << " is outside A";
+    }
+  }
+}
+
+// The one case where the shared rule differs from the former Newton/econ
+// transcriptions: a node at x_i = 0 whose marginal utility equals the
+// group mean exactly has Δx_i = 0, which does not push it below zero, so
+// step (i) keeps it (the old copies excluded it and, since it does not
+// strictly beat the mean, never re-admitted it). Holds for unit and for
+// any weights whose weighted mean is still exactly that marginal.
+TEST(Allocator, StepOneKeepsAZeroNodeAtTheMeanMarginal) {
+  core::ConstraintGroup group;
+  group.indices = {0, 1, 2};
+  group.total = 1.0;
+  const std::vector<double> x{0.5, 0.0, 0.5};
+  const std::vector<double> du{1.0, 2.0, 3.0};  // mean exactly 2
+  const std::vector<double> no_caps;
+  const std::vector<std::size_t> all{0, 1, 2};
+  core::detail::ActiveSetWorkspace ws;
+  core::detail::active_set(group, x, du, 0.3, no_caps, 3,
+                           core::detail::UnitWeights{}, ws);
+  EXPECT_EQ(ws.active, all);
+  EXPECT_EQ(fap::testing::active_set_reference(group, x, du, 0.3, no_caps),
+            all);
+  const std::vector<double> w{0.5, 2.0, 0.5};  // weighted mean also 2
+  core::detail::active_set(group, x, du, 0.3, no_caps, 3,
+                           core::detail::VariableWeights(w), ws);
+  EXPECT_EQ(ws.active, all);
+  EXPECT_EQ(
+      fap::testing::active_set_reference(group, x, du, 0.3, no_caps, w), all);
 }
 
 }  // namespace

@@ -187,4 +187,94 @@ TEST(NewtonAllocator, RejectsInvalidOptions) {
                fap::util::PreconditionError);
 }
 
+// Bitwise pins of the eleven Newton runs of ablation A2 (bench/
+// ablation_newton.cpp), captured before the Newton step was folded into
+// core's shared group step: iterations and every bit of the final x.
+struct AblationPin {
+  double knob;  ///< cost scale (scale runs) or α (α runs)
+  std::size_t iterations;
+  std::vector<double> x;
+};
+
+core::SingleFileProblem scaled_ring(double scale) {
+  core::SingleFileProblem problem = core::make_paper_ring_problem();
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      problem.comm.set_cost(i, j, problem.comm.cost(i, j) * scale);
+    }
+  }
+  problem.k *= scale;
+  return problem;
+}
+
+TEST(NewtonAllocator, AblationScaleRunsArePinnedBitwise) {
+  const std::vector<AblationPin> pins{
+      {0.01, 13, {0x1.00454e939f08ep-2, 0x1.ffd29f1cd40ep-3,
+                  0x1.ffd29f1cd40ep-3, 0x1.ffd0249f19d3dp-3}},
+      {0.1, 13, {0x1.00454e939f088p-2, 0x1.ffd29f1cd40d4p-3,
+                 0x1.ffd29f1cd40d4p-3, 0x1.ffd0249f19d35p-3}},
+      {1.0, 13, {0x1.00454e939f088p-2, 0x1.ffd29f1cd40d4p-3,
+                 0x1.ffd29f1cd40d4p-3, 0x1.ffd0249f19d37p-3}},
+      {10.0, 13, {0x1.00454e939f08ap-2, 0x1.ffd29f1cd40dap-3,
+                  0x1.ffd29f1cd40dap-3, 0x1.ffd0249f19d3ep-3}},
+      {100.0, 13, {0x1.00454e939f08bp-2, 0x1.ffd29f1cd40d6p-3,
+                   0x1.ffd29f1cd40d6p-3, 0x1.ffd0249f19d3dp-3}},
+  };
+  for (const AblationPin& pin : pins) {
+    const core::SingleFileModel model(scaled_ring(pin.knob));
+    core::NewtonAllocatorOptions options;
+    options.alpha = 0.5;
+    options.epsilon = 1e-3 * pin.knob;
+    options.max_iterations = 200000;
+    const core::AllocationResult result =
+        core::NewtonAllocator(model, options).run({0.8, 0.1, 0.1, 0.0});
+    EXPECT_TRUE(result.converged) << "scale=" << pin.knob;
+    EXPECT_EQ(result.iterations, pin.iterations) << "scale=" << pin.knob;
+    EXPECT_EQ(result.x, pin.x) << "scale=" << pin.knob;
+  }
+}
+
+TEST(NewtonAllocator, AblationAlphaRunsArePinnedBitwise) {
+  const std::vector<AblationPin> pins{
+      {0.05, 153, {0x1.0078ff2749fb3p-2, 0x1.ffb39d660cccbp-3,
+                   0x1.ffb39d660cccbp-3, 0x1.ffa6c6e552722p-3}},
+      {0.1, 75, {0x1.007796d1713cap-2, 0x1.ffb437d095879p-3,
+                 0x1.ffb437d095879p-3, 0x1.ffa862bbf2766p-3}},
+      {0.3, 23, {0x1.006dfc38bd6c9p-2, 0x1.ffb92db86667bp-3,
+                 0x1.ffb92db86667bp-3, 0x1.ffb1ac1db854cp-3}},
+      {0.5, 13, {0x1.00454e939f088p-2, 0x1.ffd29f1cd40d4p-3,
+                 0x1.ffd29f1cd40d4p-3, 0x1.ffd0249f19d37p-3}},
+      {0.8, 7, {0x1.0019c2aef05f8p-2, 0x1.ffeed4ca4c88ep-3,
+                0x1.ffeed4ca4c88ep-3, 0x1.ffeed10d862c8p-3}},
+      {1.0, 4, {0x1.0006a35be0aafp-2, 0x1.fffbb8a7e9884p-3,
+                0x1.fffbb8a7e9884p-3, 0x1.fffb47f86b958p-3}},
+  };
+  const core::SingleFileModel model = paper_model();
+  for (const AblationPin& pin : pins) {
+    core::NewtonAllocatorOptions options;
+    options.alpha = pin.knob;
+    options.epsilon = 1e-3;
+    options.max_iterations = 50000;
+    const core::AllocationResult result =
+        core::NewtonAllocator(model, options).run({0.8, 0.1, 0.1, 0.0});
+    EXPECT_TRUE(result.converged) << "alpha=" << pin.knob;
+    EXPECT_EQ(result.iterations, pin.iterations) << "alpha=" << pin.knob;
+    EXPECT_EQ(result.x, pin.x) << "alpha=" << pin.knob;
+  }
+}
+
+TEST(NewtonAllocator, TracedRunAtTheIterationCapRecordsTheFinalState) {
+  const core::SingleFileModel model = paper_model();
+  core::NewtonAllocatorOptions options = newton_options(0.05);
+  options.max_iterations = 3;
+  const core::NewtonAllocator allocator(model, options);
+  const core::AllocationResult result = allocator.run({0.8, 0.1, 0.1, 0.0});
+  ASSERT_FALSE(result.converged);
+  EXPECT_EQ(result.iterations, 3u);
+  ASSERT_EQ(result.trace.size(), 4u);  // iterations 0..3
+  EXPECT_EQ(result.trace.back().iteration, 3u);
+  EXPECT_EQ(result.trace.back().x, result.x);
+  EXPECT_EQ(result.trace.back().cost, result.cost);
+}
+
 }  // namespace

@@ -113,6 +113,48 @@ TEST(ResourceDirected, BoundaryAgentsReceiveNothing) {
   EXPECT_NEAR(result.x[0], 0.5, 1e-5);
 }
 
+// Bitwise pin of the example_economy plan (examples/economy.cpp),
+// captured before the planner became an adapter over core's group step.
+TEST(ResourceDirected, EconomyExamplePlanIsPinnedBitwise) {
+  std::vector<econ::ConcaveUtility> agents;
+  agents.push_back(econ::log_utility(1.0, 0.05));
+  agents.push_back(econ::log_utility(3.0, 0.05));
+  agents.push_back(econ::quadratic_utility(4.0, 6.0));
+  agents.push_back(econ::power_utility(2.0, 0.5));
+  agents.push_back(econ::log_utility(0.5, 0.05));
+  econ::PlannerOptions options;
+  options.alpha = 0.01;
+  options.epsilon = 1e-8;
+  options.max_iterations = 500000;
+  options.record_trace = true;
+  const econ::PlannerResult plan = econ::resource_directed_plan(
+      agents, std::vector<double>(5, 0.2), options);
+  ASSERT_TRUE(plan.converged);
+  EXPECT_EQ(plan.iterations, 200u);
+  EXPECT_EQ(plan.trace.size(), 201u);
+  const std::vector<double> expected{
+      0x1.8a3786318fc49p-3, 0x1.5adcd7c9c65a6p-1, 0x0p+0,
+      0x1.e1b22b11d07eep-5, 0x1.23d11fc5c5632p-4};
+  EXPECT_EQ(plan.x, expected);
+}
+
+TEST(ResourceDirected, TracedRunAtTheIterationCapRecordsTheFinalState) {
+  const auto agents = log_agents({1.0, 5.0, 2.0}, 0.1);
+  econ::PlannerOptions options;
+  options.alpha = 0.02;
+  options.epsilon = 1e-7;
+  options.max_iterations = 3;
+  options.record_trace = true;
+  const econ::PlannerResult result =
+      econ::resource_directed_plan(agents, {0.9, 0.05, 0.05}, options);
+  ASSERT_FALSE(result.converged);
+  EXPECT_EQ(result.iterations, 3u);
+  ASSERT_EQ(result.trace.size(), 4u);  // iterations 0..3
+  EXPECT_EQ(result.trace.back().iteration, 3u);
+  EXPECT_EQ(result.trace.back().x, result.x);
+  EXPECT_EQ(result.trace.back().social_utility, result.social_utility);
+}
+
 TEST(AgentDemand, DecreasingInPriceAndClamped) {
   const econ::ConcaveUtility agent = econ::quadratic_utility(4.0, 2.0);
   // u'(x) = 4 - 2x = p  =>  x = (4 - p)/2.

@@ -12,13 +12,15 @@
 #include <gtest/gtest.h>
 
 #include "sim/des.hpp"
-#include "sim/des_reference.hpp"
 #include "sim/des_system.hpp"
+#include "support/des_reference.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace fap::sim {
 namespace {
+
+using fap::testing::DesReferenceSystem;
 
 void expect_stats_equal(const util::RunningStats& a,
                         const util::RunningStats& b, const char* what) {
