@@ -77,8 +77,10 @@ class BatchAllocator {
 
   /// Enqueues one instance; returns its index into run_all()'s result
   /// vector. Copies everything it needs from `model` (the reference need
-  /// not outlive the call). Throws PreconditionError on infeasible
-  /// `start`, invalid options, or options requesting trace recording.
+  /// not outlive the call): checks `start` against the model, then
+  /// submits the model's own fields through submit(RawInstance). Throws
+  /// PreconditionError on infeasible `start`, invalid options, or options
+  /// requesting trace recording.
   std::size_t submit(const SingleFileModel& model,
                      const AllocatorOptions& options,
                      std::vector<double> start);

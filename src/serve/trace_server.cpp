@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <list>
-#include <unordered_map>
 #include <utility>
 
 #include "fs/popularity.hpp"
@@ -134,42 +132,99 @@ const std::vector<TraceRequest>& TraceGenerator::next_epoch(
 // ---------------------------------------------------------------------------
 // TraceServer internals
 
-/// Per-node LRU cache: front of `order` is the most recently used record.
+/// Per-node LRU cache over the dense record ids: `slots` holds the cached
+/// records threaded into a recency list (head = most recently used) by
+/// slot index, and `slot_of[record]` is the record's slot or kAbsent.
+/// The slots stay packed in [0, size): an erase moves the last slot into
+/// the hole, so no free list is needed and no insert allocates.
 struct TraceServer::LruCache {
-  std::list<std::uint32_t> order;
-  std::unordered_map<std::uint32_t, std::list<std::uint32_t>::iterator>
-      index;
+  static constexpr std::uint32_t kAbsent = 0xffffffffu;
+  struct Slot {
+    std::uint32_t record = 0;
+    std::uint32_t prev = kAbsent;
+    std::uint32_t next = kAbsent;
+  };
+  std::vector<std::uint32_t> slot_of;
+  std::vector<Slot> slots;
+  std::uint32_t head = kAbsent;
+  std::uint32_t tail = kAbsent;
+
+  LruCache(std::size_t records, std::size_t capacity)
+      : slot_of(records, kAbsent) {
+    slots.reserve(capacity);
+  }
 
   /// Moves `record` to the front if cached; returns whether it was.
   bool touch(std::uint32_t record) {
-    const auto it = index.find(record);
-    if (it == index.end()) {
+    const std::uint32_t s = slot_of[record];
+    if (s == kAbsent) {
       return false;
     }
-    order.splice(order.begin(), order, it->second);
+    unlink(s);
+    push_front(s);
     return true;
   }
 
   /// Inserts an absent record, evicting the least recently used one when
   /// the cache is at `capacity`.
   void insert(std::uint32_t record, std::size_t capacity) {
-    if (order.size() >= capacity) {
-      index.erase(order.back());
-      order.pop_back();
+    std::uint32_t s = 0;
+    if (slots.size() >= capacity) {
+      s = tail;
+      unlink(s);
+      slot_of[slots[s].record] = kAbsent;
+    } else {
+      s = static_cast<std::uint32_t>(slots.size());
+      slots.emplace_back();
     }
-    order.push_front(record);
-    index.emplace(record, order.begin());
+    slots[s].record = record;
+    slot_of[record] = s;
+    push_front(s);
   }
 
   /// Drops `record` if cached (update invalidation); returns 1 if it was.
   std::size_t erase(std::uint32_t record) {
-    const auto it = index.find(record);
-    if (it == index.end()) {
+    const std::uint32_t s = slot_of[record];
+    if (s == kAbsent) {
       return 0;
     }
-    order.erase(it->second);
-    index.erase(it);
+    unlink(s);
+    slot_of[record] = kAbsent;
+    const auto last = static_cast<std::uint32_t>(slots.size() - 1);
+    if (s != last) {
+      // Re-home the last slot into the hole and repoint its neighbours.
+      const Slot moved = slots[last];
+      slots[s] = moved;
+      next_link(moved.prev) = s;
+      prev_link(moved.next) = s;
+      slot_of[moved.record] = s;
+    }
+    slots.pop_back();
     return 1;
+  }
+
+ private:
+  /// The field holding the successor (next_link) or predecessor
+  /// (prev_link) of slot `s`. kAbsent stands for the space beyond both
+  /// ends, so its successor field is `head` and its predecessor `tail`.
+  std::uint32_t& next_link(std::uint32_t s) {
+    return s == kAbsent ? head : slots[s].next;
+  }
+  std::uint32_t& prev_link(std::uint32_t s) {
+    return s == kAbsent ? tail : slots[s].prev;
+  }
+
+  void unlink(std::uint32_t s) {
+    const Slot& slot = slots[s];
+    next_link(slot.prev) = slot.next;
+    prev_link(slot.next) = slot.prev;
+  }
+
+  void push_front(std::uint32_t s) {
+    slots[s].prev = kAbsent;
+    slots[s].next = head;
+    prev_link(head) = s;
+    head = s;
   }
 };
 
@@ -272,7 +327,10 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
     cache_capacity_ = std::max<std::size_t>(
         1, static_cast<std::size_t>(options_.cache_fraction *
                                     static_cast<double>(workload_.records)));
-    caches_.resize(n_);
+    caches_.reserve(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      caches_.emplace_back(workload_.records, cache_capacity_);
+    }
   }
 
   sim::DesConfig config;
@@ -325,7 +383,7 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
     injected += batch.size();
     engine_->advance_until(generator.now());
     if (options_.mode == ServeMode::kOnline) {
-      update_migration_state(generator.now(), result);
+      update_migration_state(generator.now());
     }
     if (++epochs_in_window >= options_.estimation_epochs &&
         injected < total_requests) {
@@ -353,7 +411,7 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
   while (engine_->advance_completions(65536) > 0) {
   }
   if (options_.mode == ServeMode::kOnline) {
-    update_migration_state(engine_->now(), result);
+    update_migration_state(engine_->now());
   }
   harvest_window(engine_->window(), result);
   return result;
@@ -506,7 +564,7 @@ void TraceServer::maybe_reallocate(const sim::WindowStats& window, double now,
     pending_ = std::make_unique<PendingMigration>(PendingMigration{
         std::move(plan), std::move(schedule), std::move(wave_begin),
         std::move(wave_end), std::move(next)});
-    update_migration_state(now, result);  // lock wave 0
+    update_migration_state(now);  // lock wave 0
   } catch (const std::exception&) {
     // Deterministic: the estimate (or the model built from it) was not
     // solvable this window; keep serving and try again next window.
@@ -514,9 +572,7 @@ void TraceServer::maybe_reallocate(const sim::WindowStats& window, double now,
   }
 }
 
-void TraceServer::update_migration_state(double now,
-                                         TraceServeResult& result) {
-  (void)result;
+void TraceServer::update_migration_state(double now) {
   if (!pending_) {
     return;
   }

@@ -284,7 +284,7 @@ class TraceServer {
                      TraceServeResult& result);
   void maybe_reallocate(const sim::WindowStats& window, double now,
                         TraceServeResult& result);
-  void update_migration_state(double now, TraceServeResult& result);
+  void update_migration_state(double now);
   void harvest_window(const sim::WindowStats& window, TraceServeResult& result);
 
   const net::Topology& topology_;

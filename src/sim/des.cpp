@@ -30,7 +30,6 @@ DesResult measure(DesSystem& system, const DesConfig& config) {
   result.comm_cost = window.comm_cost;
   result.sojourn = window.sojourn;
   result.response_time = window.response_time;
-  result.sojourn_histogram = window.sojourn_histogram;
   result.response_hist = window.response_hist;
   result.node = window.node;
   result.simulated_time = window.span;

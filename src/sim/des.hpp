@@ -30,6 +30,16 @@ enum class ServiceDistribution {
   kGamma,          ///< M/G/1 with configurable SCV (shape 1/scv)
 };
 
+/// Runaway guard for completion-driven advancement: generators never
+/// stop, so a system that can no longer complete anything (e.g. every
+/// routed target failed) would spin forever. advance_completions(count)
+/// throws InvariantError — it never silently truncates — once it has
+/// processed `kEventBudgetPerCompletion * count + kEventBudgetFloor`
+/// events without reaching the requested completions. A healthy
+/// completion takes a handful of events (generate, arrive, depart).
+inline constexpr std::size_t kEventBudgetPerCompletion = 1000;
+inline constexpr std::size_t kEventBudgetFloor = 1000000;
+
 struct DesConfig {
   std::vector<double> lambda;  ///< per-node access generation rates
   std::vector<double> mu;      ///< per-node service rates
@@ -59,18 +69,6 @@ struct DesConfig {
   /// net::route_hop_counts). Empty with hop_latency > 0 means one hop
   /// between distinct nodes.
   std::vector<std::vector<std::size_t>> route_hops;
-
-  /// Runaway guard for completion-driven advancement: generators never
-  /// stop, so a system that can no longer complete anything (e.g. every
-  /// routed target failed) would spin forever. advance_completions(count)
-  /// throws InvariantError — it never silently truncates — once it has
-  /// processed `event_budget_per_completion * count + event_budget_floor`
-  /// events without reaching the requested completions. The defaults
-  /// preserve the engine's historical hard-coded budget; raise them for
-  /// workloads that legitimately process millions of events per
-  /// completion (heavy store-and-forward fan-in, near-total failure).
-  std::size_t event_budget_per_completion = 1000;
-  std::size_t event_budget_floor = 1000000;
 
   /// Open-loop mode (trace serving): no node generates its own Poisson
   /// stream — all traffic enters through DesSystem::inject_access — so
@@ -124,10 +122,9 @@ struct DesResult {
   /// End-to-end response time (request transit + sojourn + response
   /// transit); equals sojourn when hop_latency is 0.
   util::RunningStats response_time;
-  util::Histogram sojourn_histogram{0.0, 1.0, 1};
   /// Response-time distribution on exponential buckets — the tail
-  /// (p99/p999) source; the linear sojourn histogram would quantize it
-  /// into one coarse bucket under heavy-tailed service.
+  /// (p99/p999) source, with constant relative resolution under
+  /// heavy-tailed service.
   util::LogHistogram response_hist{1e-4, 1e6, 512};
   std::vector<NodeStats> node;
   double simulated_time = 0.0;  ///< post-warmup measurement span

@@ -635,7 +635,6 @@ void DesSystem::process_one_event() {
         job.arrival_time >= window_.start_time) {
       window_.comm_cost.add(job.comm_cost);
       window_.sojourn.add(sojourn);
-      window_.sojourn_histogram.add(sojourn);
       window_.node[node].sojourn.add(sojourn);
       // Response reaches the requester after the return transit.
       const double response =
@@ -673,8 +672,7 @@ std::size_t DesSystem::advance_completions(std::size_t count) {
   // Generators never stop, so guard against a system that can no longer
   // complete anything (e.g. every routing target failed).
   const std::size_t event_budget =
-      impl_->config.event_budget_per_completion * count +
-      impl_->config.event_budget_floor;
+      kEventBudgetPerCompletion * count + kEventBudgetFloor;
   std::size_t events_processed = 0;
   while (impl_->total_completions < start + count) {
     if (impl_->events.empty()) {
@@ -697,7 +695,6 @@ void DesSystem::reset_window() {
   window_.comm_cost = util::RunningStats();
   window_.sojourn = util::RunningStats();
   window_.response_time = util::RunningStats();
-  window_.sojourn_histogram.clear();
   window_.response_hist.clear();
   window_.node.assign(n, NodeStats());
   window_.log.clear();

@@ -43,7 +43,6 @@ struct WindowStats {
   /// queueing + service + response transit. Equals sojourn when
   /// hop_latency is 0.
   util::RunningStats response_time;
-  util::Histogram sojourn_histogram{0.0, 50.0, 500};
   /// Response-time distribution on exponential buckets (same samples as
   /// response_time), so p99/p999 keep constant relative resolution under
   /// heavy-tailed delays. Same parameters as DesResult::response_hist.

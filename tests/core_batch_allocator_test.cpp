@@ -480,6 +480,8 @@ TEST(BatchAllocator, RejectsUnsupportedOptionsAndInfeasibleStarts) {
   options.record_trace = false;
   EXPECT_THROW(batch.submit(model, options, std::vector<double>(4, 0.5)),
                fap::util::PreconditionError);  // mass 2 != 1: infeasible
+  EXPECT_THROW(batch.submit(model, options, std::vector<double>(3, 1.0 / 3)),
+               fap::util::PreconditionError);  // 3 shares for 4 nodes
   options.alpha = -1.0;
   EXPECT_THROW(batch.submit(model, options, std::vector<double>(4, 0.25)),
                fap::util::PreconditionError);

@@ -296,4 +296,49 @@ TEST(TraceServer, AccountingIsConsistent) {
   EXPECT_GT(result.cache_hits + result.cache_misses, 0u);
 }
 
+// Pins the LRU policy's outputs bitwise. Hits, misses and invalidations
+// depend on the exact recency order and eviction victim, and every delay
+// depends on where each read was served, so any change to the cache's
+// bookkeeping that alters its order shows up here. cache_fraction =
+// 1/records gives capacity 1: every insert evicts.
+TEST(TraceServer, LruOutputsArePinned) {
+  struct Pinned {
+    double cache_fraction;
+    std::size_t hits;
+    std::size_t misses;
+    std::size_t invalidations;
+    std::size_t completions;
+    std::size_t served_at_origin;
+    double mean_delay;
+    double mean_comm;
+    double p99_delay;
+  };
+  const Pinned pins[] = {
+      {0.05, 12179, 25975, 8869, 60000, 27186, 0x1.f77c1fcc8fe8dp+9,
+       0x1.7571bb75d4087p-1, 0x1.39b1997f338a3p+12},
+      {1.0 / 5000.0, 417, 37737, 316, 60000, 15424, 0x1.6b3cc77924fbbp+11,
+       0x1.fb2dbd1942383p-1, 0x1.60916f13b7b25p+13},
+  };
+  const fap::net::Topology ring = fap::net::make_ring(4);
+  TraceWorkload workload = small_workload();
+  workload.records = 5000;
+  workload.drift_rate = 0.005;
+  workload.update_fraction = 0.15;
+  for (const Pinned& pin : pins) {
+    TraceServeOptions options;
+    options.mode = ServeMode::kLru;
+    options.cache_fraction = pin.cache_fraction;
+    const TraceServeResult result =
+        TraceServer(ring, workload, options).serve(60000);
+    EXPECT_EQ(result.cache_hits, pin.hits);
+    EXPECT_EQ(result.cache_misses, pin.misses);
+    EXPECT_EQ(result.cache_invalidations, pin.invalidations);
+    EXPECT_EQ(result.completions, pin.completions);
+    EXPECT_EQ(result.served_at_origin, pin.served_at_origin);
+    EXPECT_EQ(result.delay.mean(), pin.mean_delay);
+    EXPECT_EQ(result.comm.mean(), pin.mean_comm);
+    EXPECT_EQ(result.delay_hist.quantile(0.99), pin.p99_delay);
+  }
+}
+
 }  // namespace

@@ -41,13 +41,6 @@ void expect_windows_equal(const WindowStats& a, const WindowStats& b) {
   EXPECT_EQ(a.span, b.span);
   EXPECT_EQ(a.completions, b.completions);
   EXPECT_EQ(a.failed_accesses, b.failed_accesses);
-  ASSERT_EQ(a.sojourn_histogram.bucket_count(),
-            b.sojourn_histogram.bucket_count());
-  EXPECT_EQ(a.sojourn_histogram.total(), b.sojourn_histogram.total());
-  for (std::size_t i = 0; i < a.sojourn_histogram.bucket_count(); ++i) {
-    EXPECT_EQ(a.sojourn_histogram.count(i), b.sojourn_histogram.count(i))
-        << "histogram bucket " << i;
-  }
   ASSERT_EQ(a.response_hist.bucket_count(), b.response_hist.bucket_count());
   EXPECT_EQ(a.response_hist.total(), b.response_hist.total());
   EXPECT_EQ(a.response_hist.nonfinite(), b.response_hist.nonfinite());
@@ -353,17 +346,14 @@ TEST(DesEngineEquivalence, RunDesEngineOverloadMatchesPlainRunDes) {
 }
 
 TEST(DesEngineEquivalence, ReferenceHonorsConfiguredEventBudget) {
-  // The budget knobs must gate the reference engine identically (both
-  // engines share DesConfig); the dedicated budget tests live in
-  // sim_des_system_test.cpp.
-  DesConfig config = make_config(3, 51);
-  config.event_budget_per_completion = 1;
-  config.event_budget_floor = 10;
-  DesReferenceSystem reference(config);
+  // The reference engine shares DesSystem's event budget constants, so a
+  // system that can make no completion fails it the same loud way; the
+  // dedicated budget test lives in sim_des_system_test.cpp.
+  DesReferenceSystem reference(make_config(3, 51));
   for (std::size_t node = 0; node < 3; ++node) {
     reference.set_node_failed(node, true);
   }
-  EXPECT_THROW(reference.advance_completions(100), util::InvariantError);
+  EXPECT_THROW(reference.advance_completions(1), util::InvariantError);
 }
 
 }  // namespace

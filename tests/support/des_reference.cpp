@@ -303,7 +303,6 @@ void DesReferenceSystem::process_one_event() {
     if (pending.arrival_time >= window_.start_time) {
       window_.comm_cost.add(pending.comm_cost);
       window_.sojourn.add(sojourn);
-      window_.sojourn_histogram.add(sojourn);
       window_.node[node].sojourn.add(sojourn);
       // Response reaches the requester after the return transit.
       const double response =
@@ -337,8 +336,7 @@ std::size_t DesReferenceSystem::advance_completions(std::size_t count) {
   // Generators never stop, so guard against a system that can no longer
   // complete anything (e.g. every routing target failed).
   const std::size_t event_budget =
-      impl_->config.event_budget_per_completion * count +
-      impl_->config.event_budget_floor;
+      sim::kEventBudgetPerCompletion * count + sim::kEventBudgetFloor;
   std::size_t events_processed = 0;
   while (impl_->total_completions < start + count) {
     if (impl_->events.empty()) {
