@@ -99,6 +99,59 @@ void BM_ActiveSet(benchmark::State& state) {
 }
 BENCHMARK(BM_ActiveSet)->Arg(100)->Arg(1000);
 
+// The catalog shape: the coldest object of a synthetic catalog at its
+// cold-start point mass, on the access costs its inner solve sees (zero
+// prices). Step (i) keeps about half the group, and drop rounds then shed
+// all but one or two nodes. On cached_model every empty node has the same
+// marginal, so a point mass there keeps the whole group in step (i).
+struct PointMassLane {
+  core::SingleFileModel model;
+  std::vector<double> x;
+};
+
+const PointMassLane& cached_point_mass_lane(std::size_t n) {
+  static std::map<std::size_t, PointMassLane> lanes;
+  auto it = lanes.find(n);
+  if (it == lanes.end()) {
+    catalog::SyntheticCatalogOptions synth;
+    synth.objects = 1000;
+    synth.nodes = n;
+    synth.zipf_s = 0.9;
+    const catalog::CatalogSpec spec =
+        catalog::make_synthetic_catalog(synth, 1);
+    const catalog::CatalogSolver solver(spec, catalog::CatalogOptions{});
+    const std::size_t o = synth.objects - 1;
+    const std::vector<double> prices(n, 0.0);
+    std::vector<double> lambda(n, 0.0);
+    lambda[spec.home[o]] = spec.rate[o];
+    core::SingleFileProblem problem{net::CostMatrix(0),
+                                    std::move(lambda),
+                                    spec.mu,
+                                    spec.k,
+                                    spec.delay,
+                                    {},
+                                    {},
+                                    solver.object_access_cost(o, prices),
+                                    nullptr};
+    PointMassLane lane{core::SingleFileModel(std::move(problem)),
+                       solver.object_start(o, prices)};
+    it = lanes.emplace(n, std::move(lane)).first;
+  }
+  return it->second;
+}
+
+void BM_ActiveSetPointMass(benchmark::State& state) {
+  const PointMassLane& lane =
+      cached_point_mass_lane(static_cast<std::size_t>(state.range(0)));
+  const core::ResourceDirectedAllocator allocator(lane.model, {});
+  const core::ConstraintGroup group = lane.model.constraint_groups().front();
+  const std::vector<double> du = lane.model.marginal_utilities(lane.x);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(allocator.active_set(group, lane.x, du, 0.3));
+  }
+}
+BENCHMARK(BM_ActiveSetPointMass)->Arg(100)->Arg(1000);
+
 // One instance family shared by the batch-vs-serial comparison below:
 // lane k descends the n = 16 complete-graph model from a lane-specific
 // interior start with a lane-specific step size. epsilon is unattainably

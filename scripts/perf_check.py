@@ -78,7 +78,7 @@ def main() -> int:
     parser.add_argument("--tolerance", type=float, default=1.5,
                         help="warn when current/baseline exceeds this "
                              "(default: 1.5 — sub-millisecond benchmarks "
-                             "swing +-30% with machine frequency/load "
+                             "swing +-30%% with machine frequency/load "
                              "regimes, so a tighter bound cries wolf)")
     parser.add_argument("--hard-fail", type=float, default=3.0,
                         help="always fail at this ratio (default: 3.0)")

@@ -62,17 +62,33 @@ void active_set(const ConstraintGroup& group, const std::vector<double>& x,
   };
 
   std::vector<std::size_t>& active = ws.active;
-  active.clear();
 
   // Step (i): the reference recomputes the group mean for every
   // candidate; the sum is the same left-to-right sum each time, so
-  // computing it once is bit-identical.
+  // computing it once is bit-identical. Excluded nodes feed the running
+  // extrema the peel below checks for re-admission.
   const double avg_full = group_mean(marginal_u, members, weights);
-  for (const std::size_t i : members) {
-    if (!pinned(i, delta(i, avg_full))) {
-      active.push_back(i);
+  double best_gainer = -std::numeric_limits<double>::infinity();
+  double best_loser = std::numeric_limits<double>::infinity();
+  const auto exclude = [&](std::size_t i) {
+    if (x[i] < cap_of(i) - kBoundaryTol) {
+      best_gainer = std::max(best_gainer, marginal_u[i]);
     }
-  }
+    if (x[i] > kBoundaryTol) {
+      best_loser = std::min(best_loser, marginal_u[i]);
+    }
+  };
+  const auto step_one = [&] {
+    active.clear();
+    for (const std::size_t i : members) {
+      if (pinned(i, delta(i, avg_full))) {
+        exclude(i);
+      } else {
+        active.push_back(i);
+      }
+    }
+  };
+  step_one();
 
   // Fast path: nobody pinned under the full-group average. The reference's
   // round 0 is then a provable no-op — no outsiders exist to re-admit, and
@@ -85,39 +101,45 @@ void active_set(const ConstraintGroup& group, const std::vector<double>& x,
     return;
   }
 
-  // Second fast path: step (i)'s survivors are often already the fixed
-  // point. The typical lane of a large catalog is a point mass whose
-  // active set is one interior node with every other node pinned at the
-  // floor below the average; the reference's round 0 then re-admits
-  // nobody (no excluded candidate's gap clears the active average — the
-  // first peek of either heap comes back empty-handed, which is exactly
-  // "no eligible outsider strictly beats the average") and its drop pass
-  // pins nobody, so it exits with the active set unchanged. Detecting
-  // that is two O(m) scans over the same sums and pinned() arithmetic
-  // the reference would evaluate — bit-identical decisions — and skips
-  // the O(dim) bitmask and the two heap builds below.
+  // Peel: the reference rounds, replayed without heaps for as long as no
+  // round re-admits a node. That is the catalog's common case: from a
+  // point mass, step (i) keeps the empty nodes whose marginal reaches the
+  // full-group mean (about half the group), and each drop round sheds the
+  // empty nodes below the risen mean until one or two nodes remain.
+  // A round re-admits iff the best eligible outsider's gap clears the
+  // active mean (the heaps' first peek); subtraction is monotone, so the
+  // running extrema over excluded nodes decide that exactly. Otherwise
+  // the round is only the drop pass, with the same sums in the same order
+  // and the same pinned() arithmetic. Each round that continues drops a
+  // node, so the peel ends within |A| < m rounds, before the reference's
+  // round limit (2m + 2) could bind. A re-admission or an emptied set
+  // restarts the heap procedure below from step (i), which replays the
+  // peeled rounds.
   if (!active.empty()) {
-    const double avg = group_mean(marginal_u, active, weights);
-    bool settled = true;
-    for (const std::size_t i : members) {
-      if (pinned(i, delta(i, avg_full))) {
-        // Excluded by step (i): would round 0's re-admission take it?
-        const double gap = marginal_u[i] - avg;
-        if ((gap > 0.0 && x[i] < cap_of(i) - kBoundaryTol) ||
-            (gap < 0.0 && x[i] > kBoundaryTol)) {
-          settled = false;
-          break;
-        }
-      } else if (pinned(i, delta(i, avg))) {
-        // Active member round 0's drop pass would pin.
-        settled = false;
+    std::vector<std::size_t>& survivors = ws.survivors;
+    for (;;) {
+      const double avg = group_mean(marginal_u, active, weights);
+      if (best_gainer - avg > 0.0 || best_loser - avg < 0.0) {
         break;
       }
+      survivors.clear();
+      for (const std::size_t i : active) {
+        if (pinned(i, delta(i, avg))) {
+          exclude(i);
+        } else {
+          survivors.push_back(i);
+        }
+      }
+      if (survivors.size() == active.size()) {
+        std::sort(active.begin(), active.end());
+        return;
+      }
+      if (survivors.empty()) {
+        break;
+      }
+      std::swap(active, survivors);
     }
-    if (settled) {
-      std::sort(active.begin(), active.end());
-      return;
-    }
+    step_one();
   }
 
   // Membership bitmask (replaces the reference's std::find scans) and the

@@ -77,9 +77,9 @@ struct ActiveSetWorkspace {
 /// (empty = unbounded) and `dim` the variable-index space size (bitmask
 /// sizing). Decision-for-decision identical to the literal transcription
 /// in tests/support (pinned by core_allocator_test across 200 randomized
-/// instances, at every iterate of their trajectories, for unit and
-/// seeded positive weights). Instantiated for UnitWeights and
-/// VariableWeights.
+/// instances and catalog-shaped point-mass and capped lanes, at every
+/// iterate of their trajectories, for unit and seeded positive weights).
+/// Instantiated for UnitWeights and VariableWeights.
 template <class Weights>
 void active_set(const ConstraintGroup& group, const std::vector<double>& x,
                 const std::vector<double>& marginal_u, double alpha,

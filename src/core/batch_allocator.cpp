@@ -336,6 +336,9 @@ std::vector<BatchRunResult> BatchAllocator::run_all() {
   for (const Instance& inst : pending_) {
     node_cap_ = std::max(node_cap_, inst.n);
   }
+  if (group_by_n_.size() <= node_cap_) {
+    group_by_n_.resize(node_cap_ + 1);
+  }
   const std::size_t stride = detail::round_up_stride(lanes_);
   soa_.stride = stride;
   soa_.node_cap = node_cap_;

@@ -46,7 +46,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/active_set.hpp"
@@ -183,7 +182,9 @@ class BatchAllocator {
   // Scalar-tail scratch (boundary lanes).
   std::vector<double> gx_, gdu_, gd2c_, gcaps_, deltas_;
   detail::ActiveSetWorkspace aset_;
-  std::unordered_map<std::size_t, ConstraintGroup> group_by_n_;
+  /// The identity group {0..n-1} for each lane size n, indexed by n
+  /// (sized to node_cap_ + 1 by run_all, each entry built on first use).
+  std::vector<ConstraintGroup> group_by_n_;
 };
 
 }  // namespace fap::core

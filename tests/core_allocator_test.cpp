@@ -9,8 +9,12 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <tuple>
 
 #include "baselines/projected_gradient.hpp"
+#include "catalog/catalog_solver.hpp"
+#include "catalog/catalog_spec.hpp"
 #include "core/active_set.hpp"
 #include "core/single_file.hpp"
 #include "support/active_set_reference.hpp"
@@ -489,8 +493,18 @@ TEST_P(ActiveSetEquivalenceTest, RunTrajectoriesAreBitIdentical) {
   }
 }
 
-// The same decision check under seeded positive per-variable weights
-// (w_i ∈ [0.05, 20], spanning the dynamic range of Newton's 1/h_i).
+// Seeded positive per-variable weights w_i ∈ [0.05, 20], spanning the
+// dynamic range of Newton's 1/h_i.
+std::vector<double> seeded_weights(std::size_t n, std::uint64_t seed) {
+  fap::util::Rng rng(seed * 104729 + 7);
+  std::vector<double> w(n);
+  for (double& wi : w) {
+    wi = std::exp(rng.uniform(std::log(0.05), std::log(20.0)));
+  }
+  return w;
+}
+
+// The same decision check under seeded weights.
 TEST_P(ActiveSetEquivalenceTest, WeightedFastMatchesReferenceAlongRun) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const EquivalenceInstance inst = equivalence_instance(seed);
@@ -498,11 +512,7 @@ TEST_P(ActiveSetEquivalenceTest, WeightedFastMatchesReferenceAlongRun) {
       inst.model, trajectory_options(inst, seed));
   const core::AllocationResult result = allocator.run(inst.start);
   const std::vector<double> caps = inst.model.upper_bounds();
-  fap::util::Rng rng(seed * 104729 + 7);
-  std::vector<double> w(inst.model.dimension());
-  for (double& wi : w) {
-    wi = std::exp(rng.uniform(std::log(0.05), std::log(20.0)));
-  }
+  const std::vector<double> w = seeded_weights(inst.model.dimension(), seed);
   const core::detail::VariableWeights weights(w);
   core::detail::ActiveSetWorkspace ws;
   for (std::size_t t = 0; t < result.trace.size(); ++t) {
@@ -579,5 +589,254 @@ TEST(Allocator, StepOneKeepsAZeroNodeAtTheMeanMarginal) {
   EXPECT_EQ(
       fap::testing::active_set_reference(group, x, du, 0.3, no_caps, w), all);
 }
+
+// --- Catalog-shaped set A -----------------------------------------------
+//
+// A catalog lane starts from a point mass on priced M/M/1 marginals.
+// Step (i) keeps the empty nodes whose marginal reaches the full-group
+// mean, about half the group, drop rounds then shed all but one or two
+// nodes, and no round re-admits anyone: the heap-free peel in
+// core/active_set.cpp. The instances below pin that shape and each way
+// the peel ends (settled, a re-admission handing over to the heaps, a
+// drop pass emptying the set) against the reference transcription, for
+// unit weights and for seeded positive weights.
+
+// core's set A equals the reference's at one (x, ∂U, α), under unit
+// weights and under `w`. `ws` is shared across calls, as the allocators
+// share theirs.
+void expect_sets_match(const core::ConstraintGroup& group,
+                       const std::vector<double>& x,
+                       const std::vector<double>& du, double alpha,
+                       const std::vector<double>& caps,
+                       const std::vector<double>& w,
+                       core::detail::ActiveSetWorkspace& ws,
+                       const std::string& where) {
+  core::detail::active_set(group, x, du, alpha, caps, x.size(),
+                           core::detail::UnitWeights{}, ws);
+  EXPECT_EQ(ws.active,
+            fap::testing::active_set_reference(group, x, du, alpha, caps))
+      << where << " unit weights";
+  core::detail::active_set(group, x, du, alpha, caps, x.size(),
+                           core::detail::VariableWeights(w), ws);
+  EXPECT_EQ(ws.active,
+            fap::testing::active_set_reference(group, x, du, alpha, caps, w))
+      << where << " weighted";
+}
+
+// Checks set A at every iterate of a serial run of `model` from `start`
+// under the catalog's inner options (iteration budget cut to 200).
+void expect_run_matches(const core::SingleFileModel& model,
+                        const std::vector<double>& start,
+                        const core::AllocatorOptions& inner,
+                        std::uint64_t seed, const std::string& where) {
+  core::AllocatorOptions options = inner;
+  options.max_iterations = 200;
+  options.record_trace = true;
+  const core::ResourceDirectedAllocator allocator(model, options);
+  const core::AllocationResult result = allocator.run(start);
+  const std::vector<double> caps = model.upper_bounds();
+  const std::vector<double> w = seeded_weights(model.dimension(), seed);
+  const core::ConstraintGroup group = model.constraint_groups().front();
+  core::detail::ActiveSetWorkspace ws;
+  ASSERT_FALSE(result.trace.empty());
+  for (std::size_t t = 0; t < result.trace.size(); ++t) {
+    const std::vector<double>& x = result.trace[t].x;
+    expect_sets_match(group, x, model.marginal_utilities(x),
+                      provisional_alpha(allocator, x, group), caps, w, ws,
+                      where + " it=" + std::to_string(t));
+  }
+}
+
+class CatalogActiveSetTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
+
+// Objects of a synthetic catalog, each assembled as CatalogSolver
+// assembles its inner solve: the priced access-cost vector through
+// access_cost_override, the object's rate and the shared μ, M/M/1 delay.
+// Uncapped, the run starts from the solver's point mass. Capped (storage
+// fractions in [0.2, 0.6]), it starts from filling the cheapest nodes to
+// their caps, so cap-pinned nodes sit above the mean next to zero nodes.
+TEST_P(CatalogActiveSetTest, PointMassAndCappedLanesMatchReferenceAlongRun) {
+  const auto [n, seed_param] = GetParam();
+  const auto seed = static_cast<std::uint64_t>(seed_param);
+  fap::catalog::SyntheticCatalogOptions synth;
+  synth.objects = 2000;
+  synth.nodes = n;
+  synth.zipf_s = 0.9;
+  const fap::catalog::CatalogSpec spec =
+      fap::catalog::make_synthetic_catalog(synth, seed);
+  const fap::catalog::CatalogSolver solver(spec, {});
+  fap::util::Rng rng(seed * 31 + n);
+  std::vector<double> prices(n);
+  for (double& p : prices) {
+    p = solver.options().price.price_scale * rng.uniform(0.0, 0.5);
+  }
+  for (const std::size_t o :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7},
+        static_cast<std::size_t>(rng.uniform_index(synth.objects)),
+        static_cast<std::size_t>(rng.uniform_index(synth.objects))}) {
+    const std::vector<double> access = solver.object_access_cost(o, prices);
+    std::vector<double> lambda(n, 0.0);
+    lambda[spec.home[o]] = spec.rate[o];
+    core::SingleFileProblem problem{fap::net::CostMatrix(0),
+                                    std::move(lambda),
+                                    spec.mu,
+                                    spec.k,
+                                    spec.delay,
+                                    {},
+                                    {},
+                                    access,
+                                    nullptr};
+    const std::string where =
+        "n=" + std::to_string(n) + " seed=" + std::to_string(seed) +
+        " object=" + std::to_string(o);
+    expect_run_matches(core::SingleFileModel(problem),
+                       solver.object_start(o, prices), solver.options().inner,
+                       seed, where);
+
+    std::vector<double> caps(n);
+    for (double& cap : caps) {
+      cap = rng.uniform(0.2, 0.6);
+    }
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return access[a] < access[b];
+    });
+    std::vector<double> start(n, 0.0);
+    double left = 1.0;
+    for (const std::size_t i : order) {
+      start[i] = std::min(caps[i], left);
+      left -= start[i];
+      if (left <= 0.0) {
+        break;
+      }
+    }
+    problem.storage_capacity = std::move(caps);
+    expect_run_matches(core::SingleFileModel(std::move(problem)), start,
+                       solver.options().inner, seed, where + " capped");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CatalogShapes, CatalogActiveSetTest,
+                         ::testing::Combine(::testing::Values(32, 100, 257),
+                                            ::testing::Values(1, 2)));
+
+// Dropping the cap-pinned node b lowers the active mean below a zero
+// node z that step (i) excluded, so z must be re-admitted: the peel hands
+// over to the heaps, which replay from step (i). With ∂U_z equal to the
+// post-drop mean instead, z's gap is exactly 0 and nobody is re-admitted.
+TEST(Allocator, PeelHandsOverToTheHeapsWhenADropReadmitsAZeroNode) {
+  core::ConstraintGroup group;
+  group.indices = {0, 1, 2, 3};
+  group.total = 1.0;
+  // a interior, b and c at their caps, z at zero.
+  const std::vector<double> x{0.3, 0.3, 0.4, 0.0};
+  const std::vector<double> caps{1.0, 0.3, 0.4, 1.0};
+  const std::vector<double> unit(4, 1.0);
+  const std::vector<double> halves(4, 0.5);
+  core::detail::ActiveSetWorkspace ws;
+  // Step (i) mean 6.25 keeps {a, b}; their mean 2 pins b; z's 1 beats
+  // the new mean 0.
+  const std::vector<double> readmit{0.0, 4.0, 20.0, 1.0};
+  expect_sets_match(group, x, readmit, 0.3, caps, halves, ws, "readmit");
+  EXPECT_EQ(ws.active, (std::vector<std::size_t>{0, 3}));
+  const std::vector<double> tie{0.0, 4.0, 20.0, 0.0};
+  expect_sets_match(group, x, tie, 0.3, caps, halves, ws, "tie");
+  EXPECT_EQ(ws.active, (std::vector<std::size_t>{0}));
+  expect_sets_match(group, x, readmit, 0.3, caps, seeded_weights(4, 3), ws,
+                    "readmit seeded weights");
+  expect_sets_match(group, x, tie, 0.3, caps, unit, ws, "tie unit");
+}
+
+// Exact ties with the active mean: a zero node whose ∂U equals it has
+// Δx = 0 and stays, and a cap-pinned outsider at the mean has gap 0 and
+// is not re-admitted.
+TEST(Allocator, PeelKeepsExactTiesWithTheMean) {
+  core::ConstraintGroup group;
+  group.indices = {0, 1, 2, 3, 4};
+  group.total = 1.0;
+  // a, b interior; f, z at zero; k at its cap.
+  const std::vector<double> x{0.3, 0.3, 0.0, 0.0, 0.4};
+  const std::vector<double> caps{1.0, 1.0, 1.0, 1.0, 0.4};
+  const std::vector<double> du{1.0, 3.0, 2.0, -10.0, 2.0};
+  core::detail::ActiveSetWorkspace ws;
+  expect_sets_match(group, x, du, 0.3, caps, std::vector<double>(5, 2.0), ws,
+                    "ties");
+  EXPECT_EQ(ws.active, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+// Three zero nodes with ∂U = 0.1 survive step (i), but their computed
+// mean, (0.1 + 0.1 + 0.1) / 3, rounds above 0.1, so the drop pass pins
+// all three: the degenerate all-dropped round, handed to the heaps.
+TEST(Allocator, PeelHandsOverWhenTheDropPassEmptiesTheSet) {
+  core::ConstraintGroup group;
+  group.indices = {0, 1, 2, 3, 4};
+  group.total = 1.0;
+  const std::vector<double> x{0.0, 0.0, 0.0, 1.0, 0.0};
+  const std::vector<double> caps{1.0, 1.0, 1.0, 1.0, 1.0};
+  const std::vector<double> du{0.1, 0.1, 0.1, 0.5, -5.0};
+  ASSERT_GT((du[0] + du[1] + du[2]) / 3.0, du[0]);
+  core::detail::ActiveSetWorkspace ws;
+  expect_sets_match(group, x, du, 0.3, caps, std::vector<double>(5, 1.0), ws,
+                    "all dropped");
+}
+
+// In exact arithmetic a node the peel drops can never be re-admitted
+// later (shedding zero nodes below the mean only raises it), but rounded
+// means are not monotone. Zero node f sits below the computed mean of
+// {f, p1..p4}, so it is dropped, and above the computed mean of {p1..p4},
+// so it must come back: the peel has to count the nodes it drops as
+// outsiders.
+TEST(Allocator, PeelReadmitsANodeItDroppedWhenRoundingLowersTheMean) {
+  core::ConstraintGroup group;
+  group.indices = {0, 1, 2, 3, 4, 5};
+  group.total = 1.0;
+  // f at zero, p1..p4 interior, z at zero far below the mean.
+  const std::vector<double> x{0.0, 0.25, 0.25, 0.25, 0.25, 0.0};
+  const std::vector<double> caps(6, 1.0);
+  const std::vector<double> du{0x1.999999999999cp-4, 0x1.999999999999bp-4,
+                               0x1.999999999999cp-4, 0x1.999999999999ap-4,
+                               0x1.999999999999dp-4, -1.0};
+  const double mean_with_f = (du[0] + du[1] + du[2] + du[3] + du[4]) / 5.0;
+  const double mean_without_f = (du[1] + du[2] + du[3] + du[4]) / 4.0;
+  ASSERT_LT(du[0], mean_with_f);
+  ASSERT_GT(du[0], mean_without_f);
+  core::detail::ActiveSetWorkspace ws;
+  expect_sets_match(group, x, du, 0.3, caps, std::vector<double>(6, 1.0), ws,
+                    "rounding readmit");
+}
+
+// Boundary-heavy random groups: every node at zero, at its cap or
+// interior, small-integer marginals (so exact ties with the mean are
+// common) and dyadic weights (so weighted means stay exact too).
+class BoundaryActiveSetTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BoundaryActiveSetTest, MatchesReference) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  fap::util::Rng rng(seed * 6151 + 11);
+  const std::size_t m = 3 + rng.uniform_index(30);
+  core::ConstraintGroup group;
+  group.indices.resize(m);
+  std::iota(group.indices.begin(), group.indices.end(), std::size_t{0});
+  group.total = 1.0;
+  std::vector<double> x(m);
+  std::vector<double> caps(m);
+  std::vector<double> du(m);
+  std::vector<double> w(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    caps[i] = 0.25 * static_cast<double>(1 + rng.uniform_index(4));
+    const std::uint64_t state = rng.uniform_index(3);
+    x[i] = state == 0 ? 0.0 : state == 1 ? caps[i] : 0.5 * caps[i];
+    du[i] = static_cast<double>(rng.uniform_index(9)) - 4.0;
+    w[i] = std::ldexp(1.0, static_cast<int>(rng.uniform_index(3)) - 1);
+  }
+  core::detail::ActiveSetWorkspace ws;
+  expect_sets_match(group, x, du, rng.uniform(0.05, 1.0), caps, w, ws,
+                    "seed=" + std::to_string(seed));
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomGroups, BoundaryActiveSetTest,
+                         ::testing::Range(1, 201));
 
 }  // namespace

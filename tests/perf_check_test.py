@@ -106,6 +106,13 @@ class PerfCheckTest(unittest.TestCase):
                 capture_output=True, text=True, check=False)
         self.assertEqual(proc.returncode, 0, proc.stdout)
 
+    def test_help_exits_zero(self):
+        # argparse %-formats help strings, so a literal % must be escaped.
+        proc = subprocess.run([sys.executable, SCRIPT, "--help"],
+                              capture_output=True, text=True, check=False)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("--tolerance", proc.stdout)
+
 
 if __name__ == "__main__":
     unittest.main()
