@@ -513,6 +513,53 @@ void BM_DesHotLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_DesHotLoop)->Arg(4)->Arg(64);
 
+// Open-loop trace injection, the DES half of trace serving: one seeded
+// epoch of in-order request times (Poisson at 60% of a 16-node open-loop
+// M/M/1 system, uniform origins and targets) is injected ahead of the
+// clock, then advance_until runs it through — what TraceServer::serve
+// does per epoch, and the layer behind its sim.des.busy_s. Arg is the
+// epoch size; the engine carries its queues from epoch to epoch.
+// items/sec is served requests/sec.
+void BM_DesInjectedEpoch(benchmark::State& state) {
+  constexpr std::size_t kNodes = 16;
+  const auto epoch = static_cast<std::size_t>(state.range(0));
+  sim::DesConfig config;
+  config.open_loop = true;
+  config.lambda.assign(kNodes, 0.0);
+  config.mu.assign(kNodes, 1.0);
+  config.routing.assign(kNodes, std::vector<double>(kNodes, 0.0));
+  config.comm_cost.assign(kNodes, std::vector<double>(kNodes, 1.0));
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    config.routing[i][i] = 1.0;
+    config.comm_cost[i][i] = 0.0;
+  }
+  config.window_by_completion = true;
+  util::Rng rng(20261017);
+  std::vector<double> offsets(epoch);
+  std::vector<std::size_t> origins(epoch);
+  std::vector<std::size_t> targets(epoch);
+  double offset = 0.0;
+  for (std::size_t r = 0; r < epoch; ++r) {
+    offset += rng.exponential(0.6 * static_cast<double>(kNodes));
+    offsets[r] = offset;
+    origins[r] = rng.uniform_index(kNodes);
+    targets[r] = rng.uniform_index(kNodes);
+  }
+  sim::DesSystem system(config);
+  for (auto _ : state) {
+    const double start = system.now();
+    for (std::size_t r = 0; r < epoch; ++r) {
+      system.inject_access(start + offsets[r], origins[r], targets[r],
+                           config.comm_cost[origins[r]][targets[r]]);
+    }
+    system.advance_until(start + offset);
+  }
+  benchmark::DoNotOptimize(system.window().completions);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(epoch));
+}
+BENCHMARK(BM_DesInjectedEpoch)->Arg(4096)->Arg(65536);
+
 // The replication path run_des_replications takes (runtime::sweep, serial):
 // R independent warm-up-and-measure runs of one configuration. Exercises
 // whole-run engine setup/reuse rather than the steady-state loop alone.

@@ -5,6 +5,11 @@
 //     std::priority_queue<Event> engine used as its tie-breaker, and
 //     (time, seq) is a strict total order, so the pop sequence — and with
 //     it every statistic — is identical event for event.
+//   * ArrivalStream — accesses inject_access schedules in time order
+//     bypass the heap through a FIFO merged with it by (time, seq), so
+//     an injected trace epoch costs O(1) per arrival and the heap stays
+//     departure-sized; only an arrival that overtakes the stream tail (a
+//     migration stall, a longer route) falls back to the heap.
 //   * JobSlab — job state lives in dense indexed slots with an intrusive
 //     LIFO free list. Events carry the slot index, so a departure is an
 //     array access where the previous engine paid an unordered_map
@@ -16,10 +21,10 @@
 //     carrying the stale epoch is discarded before it can touch the slab
 //     (so slot reuse can never resurrect a lost job).
 //
-// Steady state allocates nothing: the heap, slab, rings and window
-// buffers grow during warm-up and are reused thereafter — including
-// across runs via restart(), which re-seeds the engine bit-equivalently
-// to fresh construction without releasing storage.
+// Steady state allocates nothing: the heap, arrival stream, slab, rings
+// and window buffers grow during warm-up and are reused thereafter —
+// including across runs via restart(), which re-seeds the engine
+// bit-equivalently to fresh construction without releasing storage.
 //
 // Equivalence to the previous engine is pinned by the golden-trace suite
 // (tests/sim_des_engine_equiv_test.cpp) against the old engine, kept
@@ -140,6 +145,50 @@ class EventHeap {
   }
 
   std::vector<EventEntry> entries_;
+};
+
+/// The in-order arrival stream: accesses inject_access schedules in
+/// nondecreasing time, consumed from the front. Trace serving injects a
+/// whole epoch (tens of thousands of arrivals) ahead of the clock; kept
+/// in the heap those arrivals made every pop sift through the epoch,
+/// while in this FIFO each costs one append and one front read. seq only
+/// grows, so appending an entry no earlier than the tail keeps the
+/// stream sorted under precedes() and the engine can merge it with the
+/// heap exactly. The consumed prefix is dropped when the stream drains
+/// and compacted away once it outweighs the live suffix, so the storage
+/// stays epoch-sized and is reused across epochs and restart().
+class ArrivalStream {
+ public:
+  bool empty() const noexcept { return entries_.empty(); }
+  void clear() noexcept {
+    entries_.clear();  // keeps capacity
+    head_ = 0;
+  }
+  const EventEntry& front() const noexcept { return entries_[head_]; }
+
+  /// True when `entry` can be appended without breaking the order.
+  bool accepts(const EventEntry& entry) const noexcept {
+    return entries_.empty() || !precedes(entry, entries_.back());
+  }
+
+  void push_back(const EventEntry& entry) {
+    if (head_ > 0 && head_ >= entries_.size() - head_) {
+      entries_.erase(entries_.begin(),
+                     entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    entries_.push_back(entry);
+  }
+
+  void pop_front() noexcept {
+    if (++head_ == entries_.size()) {
+      clear();
+    }
+  }
+
+ private:
+  std::vector<EventEntry> entries_;
+  std::size_t head_ = 0;  // first unconsumed entry
 };
 
 /// Dense job storage. A slot is live from allocate() to free(); freed
@@ -269,7 +318,11 @@ void validate_config(const DesConfig& config) {
 struct DesSystem::Impl {
   DesConfig config;
   util::Rng rng{0};
+  /// Pending events live in two sources merged by (time, seq): the
+  /// heap (generate events, departures and out-of-order arrivals) and
+  /// the in-order injected arrivals.
   EventHeap events;
+  ArrivalStream arrivals;
   std::uint64_t seq = 0;
   std::vector<AliasSampler> samplers;
   std::vector<Server> servers;
@@ -331,6 +384,7 @@ struct DesSystem::Impl {
     const std::size_t n = config.lambda.size();
     rng = util::Rng(config.seed);
     events.clear();
+    arrivals.clear();
     seq = 0;
     total_completions = 0;
     jobs.clear();
@@ -399,6 +453,20 @@ struct DesSystem::Impl {
         cell.comm_alias = config.comm_cost[j][alias[b]];
       }
     }
+  }
+
+  bool idle() const noexcept { return events.empty() && arrivals.empty(); }
+
+  /// Whether the next event comes from the arrival stream rather than
+  /// the heap. Requires !idle().
+  bool stream_next() const noexcept {
+    return !arrivals.empty() &&
+           (events.empty() || precedes(arrivals.front(), events.top()));
+  }
+
+  /// Time of the earliest pending event. Requires !idle().
+  double next_time() const noexcept {
+    return stream_next() ? arrivals.front().time : events.top().time;
   }
 
   /// One routing draw — bit-identical to AliasSampler::sample on the
@@ -492,9 +560,12 @@ void DesSystem::inject_access(double time, std::size_t source,
                               double extra_latency) {
   Impl& impl = *impl_;
   const std::size_t n = impl.config.lambda.size();
+  FAP_EXPECTS(std::isfinite(time), "access time must be finite");
   FAP_EXPECTS(time >= now_, "cannot inject an access in the past");
   FAP_EXPECTS(source < n && target < n, "node out of range");
-  FAP_EXPECTS(extra_latency >= 0.0, "extra latency must be non-negative");
+  FAP_EXPECTS(std::isfinite(comm), "communication cost must be finite");
+  FAP_EXPECTS(std::isfinite(extra_latency) && extra_latency >= 0.0,
+              "extra latency must be finite and non-negative");
   const std::uint32_t slot = impl.jobs.allocate();
   JobRecord& job = impl.jobs[slot];
   job.comm_cost = comm;
@@ -510,7 +581,11 @@ void DesSystem::inject_access(double time, std::size_t source,
   arrival.kind = EventKind::kArrive;
   arrival.node = static_cast<std::uint32_t>(target);
   arrival.slot = slot;
-  impl.events.push(arrival);
+  if (impl.arrivals.accepts(arrival)) {
+    impl.arrivals.push_back(arrival);
+  } else {
+    impl.events.push(arrival);  // overtakes the stream tail (stall/transit)
+  }
 }
 
 void DesSystem::set_node_failed(std::size_t node, bool failed) {
@@ -545,21 +620,30 @@ void DesSystem::set_node_failed(std::size_t node, bool failed) {
 
 void DesSystem::process_one_event() {
   Impl& impl = *impl_;
-  FAP_ENSURES(!impl.events.empty(), "event queue drained unexpectedly");
-  const EventEntry event = impl.events.top();
+  FAP_ENSURES(!impl.idle(), "event queue drained unexpectedly");
+  // (time, seq) is a strict total order and each source is sorted, so
+  // taking the earlier front pops events in exactly the order one heap
+  // holding both would.
+  const bool from_stream = impl.stream_next();
+  const EventEntry event =
+      from_stream ? impl.arrivals.front() : impl.events.top();
   now_ = event.time;
 
-  // Deferred pop: the consumed top entry stays in the heap until either
+  // Deferred pop: a consumed heap top stays in the heap until either
   // the first scheduled event overwrites it in place (replace_top — one
   // sift instead of a pop's sift-down plus a push's sift-up) or the
-  // handler finishes without scheduling anything.
-  bool top_replaced = false;
+  // handler finishes without scheduling anything. A stream arrival is
+  // consumed up front and everything its handler schedules is pushed.
+  bool top_pending = !from_stream;
+  if (from_stream) {
+    impl.arrivals.pop_front();
+  }
   const auto emit = [&](const EventEntry& entry) {
-    if (top_replaced) {
-      impl.events.push(entry);
-    } else {
+    if (top_pending) {
       impl.events.replace_top(entry);
-      top_replaced = true;
+      top_pending = false;
+    } else {
+      impl.events.push(entry);
     }
   };
 
@@ -654,14 +738,14 @@ void DesSystem::process_one_event() {
     impl.jobs.free(slot);
     impl.dispatch(node, now_, emit);
   }
-  if (!top_replaced) {
+  if (top_pending) {
     impl.events.pop();
   }
 }
 
 void DesSystem::advance_until(double time) {
   FAP_EXPECTS(time >= now_, "cannot advance backwards in time");
-  while (!impl_->events.empty() && impl_->events.top().time <= time) {
+  while (!impl_->idle() && impl_->next_time() <= time) {
     process_one_event();
   }
   now_ = time;
@@ -675,7 +759,7 @@ std::size_t DesSystem::advance_completions(std::size_t count) {
       kEventBudgetPerCompletion * count + kEventBudgetFloor;
   std::size_t events_processed = 0;
   while (impl_->total_completions < start + count) {
-    if (impl_->events.empty()) {
+    if (impl_->idle()) {
       break;
     }
     FAP_ENSURES(events_processed++ < event_budget,

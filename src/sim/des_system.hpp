@@ -112,7 +112,10 @@ class DesSystem {
   /// completion plus return transit, so `extra_latency` (e.g. a
   /// migration stall) shows up in the delay statistics. Injection does
   /// not advance the clock — call advance_until / advance_completions to
-  /// process the scheduled work.
+  /// process the scheduled work. `time`, `comm` and `extra_latency` must
+  /// be finite. Injecting in nondecreasing arrival time (time +
+  /// extra_latency + transit) is the fast path: such arrivals queue in a
+  /// FIFO instead of the event heap; out-of-order ones are still exact.
   void inject_access(double time, std::size_t source, std::size_t target,
                      double comm, double extra_latency = 0.0);
 

@@ -341,4 +341,39 @@ TEST(TraceServer, LruOutputsArePinned) {
   }
 }
 
+// Pins kOnline serving with live migration and store-and-forward transit
+// bitwise. Slow migration waves stall many reads (each stall injects its
+// access out of time order), and per-route hop latency reorders arrivals
+// further, so the engine's out-of-order injection path runs throughout;
+// any change to how injected arrivals are ordered against each other or
+// against departures shows up in these delays.
+TEST(TraceServer, OnlineStallOutputsArePinned) {
+  const fap::net::Topology ring = fap::net::make_ring(6);
+  TraceWorkload workload = small_workload();
+  workload.records = 5000;
+  workload.total_rate = 3.6;  // 60% of 6 nodes at mu = 1
+  workload.drift_rate = 0.001;  // ~2 records per estimation window
+  workload.update_fraction = 0.15;
+  TraceServeOptions options;
+  options.mode = ServeMode::kOnline;
+  options.estimation_epochs = 2;
+  options.hysteresis = 0.05;
+  options.cooldown_windows = 1;
+  options.migration_bandwidth = 10.0;
+  options.max_transfers_per_node = 1;
+  options.hop_latency = 0.25;
+  const TraceServeResult result =
+      TraceServer(ring, workload, options).serve(120000);
+  EXPECT_EQ(result.requests_injected, 120000u);
+  EXPECT_EQ(result.completions, 120000u);
+  EXPECT_EQ(result.failed, 0u);
+  EXPECT_EQ(result.stalled_requests, 651u);
+  EXPECT_EQ(result.migrated_records, 10444u);
+  EXPECT_EQ(result.migration_waves, 20u);
+  EXPECT_EQ(result.reallocations, 10u);
+  EXPECT_EQ(result.delay.mean(), 0x1.fb211ba80f7d2p+2);
+  EXPECT_EQ(result.delay_hist.quantile(0.99), 0x1.254ccb1ba8cedp+7);
+  EXPECT_EQ(result.comm.mean(), 0x1.80d95c6edd748p+0);
+}
+
 }  // namespace

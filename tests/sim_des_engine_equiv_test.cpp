@@ -6,6 +6,7 @@
 // internals, histogram buckets, per-node counters, access logs — is
 // compared with exact equality (EXPECT_EQ on doubles, deliberately: the
 // contract is byte-identical traces, not tolerance agreement).
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -343,6 +344,273 @@ TEST(DesEngineEquivalence, RunDesEngineOverloadMatchesPlainRunDes) {
   EXPECT_EQ(plain.measured_cost, reused.measured_cost);
   EXPECT_EQ(plain.simulated_time, reused.simulated_time);
   ASSERT_EQ(plain.log.size(), reused.log.size());
+}
+
+/// An open-loop trace-serving config: nothing self-generates, every
+/// access enters through inject_access, and windows attribute by
+/// completion, as in serve::TraceServer.
+DesConfig make_open_loop_config(std::size_t n, std::uint64_t seed) {
+  DesConfig config = make_config(n, seed);
+  config.open_loop = true;
+  config.lambda.assign(n, 0.0);
+  config.window_by_completion = true;
+  return config;
+}
+
+/// Knobs of one seeded open-loop script.
+struct TraceScript {
+  std::size_t epochs = 6;
+  std::size_t epoch_requests = 400;
+  /// Offered load per unit service capacity (targets are drawn in
+  /// proportion to mu, so every node runs near this utilization).
+  double load = 0.7;
+  /// Chance that an access stalls for extra_latency (a migration stall),
+  /// which injects it out of time order.
+  double stall_probability = 0.0;
+  /// Inter-arrival gaps and stalls on a 1/8 grid, so injected arrivals
+  /// tie each other — and, with deterministic dyadic service, pending
+  /// departures — exactly.
+  bool dyadic = false;
+  /// Toggle a node between epochs (never all of them), so arrivals
+  /// still pending reach failed nodes.
+  bool failures = false;
+  /// Split each epoch's advance into advance_completions /
+  /// advance_until / reset_window / window() steps.
+  bool interleave = false;
+};
+
+/// Drives both engines through `epochs` injected epochs of in-order
+/// request times, comparing full windows after every epoch and after the
+/// final drain.
+void run_trace_script(DesSystem& a, DesReferenceSystem& b,
+                      const DesConfig& config, const TraceScript& script,
+                      std::uint64_t seed) {
+  const std::size_t n = config.mu.size();
+  util::Rng rng(seed);
+  double mu_total = 0.0;
+  for (const double mu : config.mu) {
+    mu_total += mu;
+  }
+  const double rate = script.load * mu_total;
+  std::vector<bool> down(n, false);
+  for (std::size_t epoch = 0; epoch < script.epochs; ++epoch) {
+    double time = a.now();
+    for (std::size_t r = 0; r < script.epoch_requests; ++r) {
+      time += script.dyadic ? static_cast<double>(rng.uniform_index(3)) / 8.0
+                            : rng.exponential(rate);
+      const std::size_t source = rng.uniform_index(n);
+      double pick = rng.uniform() * mu_total;
+      std::size_t target = 0;
+      while (target + 1 < n && pick >= config.mu[target]) {
+        pick -= config.mu[target];
+        ++target;
+      }
+      double extra = 0.0;
+      if (rng.uniform() < script.stall_probability) {
+        extra = script.dyadic
+                    ? static_cast<double>(rng.uniform_index(16)) / 8.0
+                    : rng.uniform() * 50.0 / rate;
+      }
+      const double comm = config.comm_cost[source][target];
+      a.inject_access(time, source, target, comm, extra);
+      b.inject_access(time, source, target, comm, extra);
+    }
+    if (script.interleave) {
+      for (int step = 0; step < 4; ++step) {
+        const double pick = rng.uniform();
+        if (pick < 0.4) {
+          // Stopping right after the count-th completion exposes the
+          // order of events tied with it (the arrival counters differ).
+          const std::size_t count = 1 + rng.uniform_index(150);
+          EXPECT_EQ(a.advance_completions(count),
+                    b.advance_completions(count));
+          expect_windows_equal(a.window(), b.window());
+        } else if (pick < 0.7) {
+          const double until =
+              std::min(time, a.now() + rng.uniform() * 40.0 / rate);
+          if (until >= a.now()) {
+            a.advance_until(until);
+            b.advance_until(until);
+          }
+        } else if (pick < 0.85) {
+          a.reset_window();
+          b.reset_window();
+        } else {
+          expect_windows_equal(a.window(), b.window());
+        }
+        EXPECT_EQ(a.now(), b.now());
+      }
+    }
+    const double until = std::max(time, a.now());
+    a.advance_until(until);
+    b.advance_until(until);
+    expect_windows_equal(a.window(), b.window());
+    if (script.failures) {
+      const std::size_t node = rng.uniform_index(n);
+      std::size_t up = 0;
+      for (const bool d : down) {
+        up += d ? 0 : 1;
+      }
+      if (down[node] || up > 1) {
+        down[node] = !down[node];
+        a.set_node_failed(node, down[node]);
+        b.set_node_failed(node, down[node]);
+      }
+    }
+  }
+  if (config.open_loop) {
+    // Drain: with no generators the engines run dry together.
+    for (;;) {
+      const std::size_t made = a.advance_completions(256);
+      EXPECT_EQ(made, b.advance_completions(256));
+      if (made == 0) {
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(a.now(), b.now());
+  expect_windows_equal(a.window(), b.window());
+}
+
+TEST(DesEngineEquivalence, InjectedTraceMatches) {
+  // The open-loop injection path TraceServer drives: epochs of in-order
+  // request times injected ahead of the clock, then advanced through.
+  const auto run = [](const DesConfig& config, const TraceScript& script,
+                      std::uint64_t seed) {
+    DesSystem rewritten(config);
+    DesReferenceSystem reference(config);
+    run_trace_script(rewritten, reference, config, script, seed);
+  };
+  {
+    SCOPED_TRACE("in-order epochs");
+    for (const std::uint64_t seed : {61u, 62u}) {
+      run(make_open_loop_config(5, seed), TraceScript{}, seed);
+    }
+  }
+  {
+    SCOPED_TRACE("out-of-order migration stalls");
+    TraceScript script;
+    script.stall_probability = 0.1;
+    run(make_open_loop_config(5, 63), script, 63);
+  }
+  {
+    SCOPED_TRACE("exact time ties");
+    DesConfig config = make_open_loop_config(4, 64);
+    config.service = ServiceDistribution::kDeterministic;
+    config.mu.assign(4, 4.0);  // service time 1/4: every event dyadic
+    TraceScript script;
+    script.epochs = 10;
+    script.dyadic = true;
+    script.stall_probability = 0.2;
+    script.interleave = true;
+    run(config, script, 64);
+    config.hop_latency = 0.125;
+    run(config, script, 65);
+  }
+  {
+    SCOPED_TRACE("injected arrival tied with a pending departure");
+    DesConfig config = make_open_loop_config(2, 73);
+    config.service = ServiceDistribution::kDeterministic;
+    config.mu.assign(2, 4.0);
+    DesSystem a(config);
+    DesReferenceSystem b(config);
+    const auto both = [&a, &b](const auto& step) {
+      step(a);
+      step(b);
+      EXPECT_EQ(a.now(), b.now());
+      expect_windows_equal(a.window(), b.window());
+    };
+    // Stopping at the first completion shows which of two tied events
+    // ran: the arrival counter of node 1 moves only if its arrival did.
+    both([](auto& engine) {
+      engine.inject_access(1.0, 0, 0, 0.0);
+      engine.advance_until(1.1);
+      // Departs at 1.25 with a seq older than the tied injection's.
+      engine.inject_access(1.25, 1, 1, 0.0);
+      EXPECT_EQ(engine.advance_completions(1), 1u);
+      EXPECT_EQ(engine.window().node[1].arrivals, 0u);
+    });
+    both([](auto& engine) {
+      engine.inject_access(3.0, 0, 0, 0.0);
+      engine.inject_access(3.25, 1, 1, 0.0);
+      // This time the departure at 3.25 is scheduled after the tied
+      // injection, so the arrival pops first.
+      engine.advance_until(3.1);
+      EXPECT_EQ(engine.advance_completions(2), 2u);
+      EXPECT_EQ(engine.window().node[1].arrivals, 2u);
+    });
+  }
+  {
+    SCOPED_TRACE("hop latency and route hops");
+    DesConfig config = make_open_loop_config(5, 66);
+    config.hop_latency = 0.2;
+    config.route_hops.assign(5, std::vector<std::size_t>(5, 0));
+    for (std::size_t j = 0; j < 5; ++j) {
+      for (std::size_t i = 0; i < 5; ++i) {
+        config.route_hops[j][i] = j == i ? 0 : 1 + (j + i) % 3;
+      }
+    }
+    TraceScript script;
+    script.stall_probability = 0.05;
+    run(config, script, 66);
+  }
+  {
+    SCOPED_TRACE("node failure with arrivals pending");
+    DesConfig config = make_open_loop_config(5, 67);
+    config.hop_latency = 0.1;
+    TraceScript script;
+    script.epochs = 10;
+    script.stall_probability = 0.1;
+    script.failures = true;
+    script.interleave = true;
+    run(config, script, 67);
+  }
+  {
+    SCOPED_TRACE("interleaved advancement and windows");
+    for (const std::uint64_t seed : {68u, 69u}) {
+      DesConfig config = make_open_loop_config(6, seed);
+      config.window_by_completion = seed % 2 == 0;
+      TraceScript script;
+      script.epochs = 12;
+      script.epoch_requests = 150;
+      script.stall_probability = 0.05;
+      script.interleave = true;
+      run(config, script, seed);
+    }
+  }
+  {
+    SCOPED_TRACE("injected on top of generated traffic");
+    DesConfig config = make_config(5, 70);
+    config.hop_latency = 0.05;
+    TraceScript script;
+    script.load = 0.1;
+    script.stall_probability = 0.1;
+    script.interleave = true;
+    run(config, script, 70);
+  }
+  {
+    SCOPED_TRACE("restart with arrivals still pending");
+    const DesConfig first = make_open_loop_config(5, 71);
+    DesConfig second = make_open_loop_config(4, 72);
+    second.hop_latency = 0.05;
+    TraceScript script;
+    script.epochs = 3;
+    script.stall_probability = 0.1;
+    DesSystem recycled(first);
+    DesReferenceSystem first_reference(first);
+    run_trace_script(recycled, first_reference, first, script, 71);
+    // Leave injected arrivals behind, some of them consumed.
+    for (std::size_t r = 0; r < 200; ++r) {
+      const double time = recycled.now() + 0.01 * static_cast<double>(r);
+      recycled.inject_access(time, r % 5, (r * 3) % 5, 1.0,
+                             r % 7 == 0 ? 0.5 : 0.0);
+    }
+    recycled.advance_until(recycled.now() + 0.5);
+    recycled.restart(second);
+    DesReferenceSystem fresh(second);
+    EXPECT_EQ(recycled.now(), fresh.now());
+    run_trace_script(recycled, fresh, second, script, 72);
+  }
 }
 
 TEST(DesEngineEquivalence, ReferenceHonorsConfiguredEventBudget) {

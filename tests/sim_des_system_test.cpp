@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/single_file.hpp"
 #include "queueing/delay.hpp"
@@ -188,6 +190,53 @@ TEST(DesSystem, ExhaustedEventBudgetFailsLoudly) {
     system.set_node_failed(i, true);
   }
   EXPECT_THROW(system.advance_completions(1), fap::util::InvariantError);
+}
+
+// Open-loop engine over n unit-rate nodes: traffic enters only through
+// inject_access; every cross-node access costs 1.
+sim::DesConfig open_loop_config(std::size_t n) {
+  sim::DesConfig config;
+  config.open_loop = true;
+  config.lambda.assign(n, 0.0);
+  config.mu.assign(n, 1.0);
+  config.routing.assign(n, std::vector<double>(n, 0.0));
+  config.comm_cost.assign(n, std::vector<double>(n, 1.0));
+  for (std::size_t i = 0; i < n; ++i) {
+    config.routing[i][i] = 1.0;
+    config.comm_cost[i][i] = 0.0;
+  }
+  config.seed = 321;
+  return config;
+}
+
+TEST(DesSystem, InjectAccessRejectsNonFiniteInputs) {
+  // A non-finite time or stall would schedule an arrival that never (or
+  // nonsensically) happens, and a non-finite comm would flow straight
+  // into WindowStats::comm_cost. Each is rejected before the engine
+  // changes, so it stays usable afterwards.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  sim::DesSystem system(open_loop_config(2));
+  system.inject_access(1.0, 0, 1, 2.0);
+  using fap::util::PreconditionError;
+  EXPECT_THROW(system.inject_access(kInf, 0, 1, 2.0), PreconditionError);
+  EXPECT_THROW(system.inject_access(kNaN, 0, 1, 2.0), PreconditionError);
+  EXPECT_THROW(system.inject_access(2.0, 0, 1, kNaN), PreconditionError);
+  EXPECT_THROW(system.inject_access(2.0, 0, 1, kInf), PreconditionError);
+  EXPECT_THROW(system.inject_access(2.0, 0, 1, -kInf), PreconditionError);
+  EXPECT_THROW(system.inject_access(2.0, 0, 1, 2.0, kInf),
+               PreconditionError);
+  EXPECT_THROW(system.inject_access(2.0, 0, 1, 2.0, kNaN),
+               PreconditionError);
+  system.inject_access(3.0, 1, 0, 4.0, 0.5);
+  // Only the two accepted accesses exist, and both are served.
+  EXPECT_EQ(system.advance_completions(10), 2u);
+  const sim::WindowStats& window = system.window();
+  EXPECT_EQ(window.completions, 2u);
+  EXPECT_EQ(window.failed_accesses, 0u);
+  EXPECT_EQ(window.comm_cost.mean(), 3.0);
+  EXPECT_TRUE(std::isfinite(window.response_time.mean()));
+  EXPECT_GE(window.response_time.min(), 0.0);
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ struct DesReferenceSystem::Impl {
                           EventKind::kGenerate, j});
       }
     }
-    FAP_EXPECTS(!events.empty(),
+    FAP_EXPECTS(config.open_loop || !events.empty(),
                 "at least one node must generate accesses");
   }
 
@@ -214,6 +214,21 @@ void DesReferenceSystem::set_routing(
     const std::vector<std::vector<double>>& routing) {
   impl_->rebuild_samplers(routing);
   impl_->config.routing = routing;
+}
+
+void DesReferenceSystem::inject_access(double time, std::size_t source,
+                                       std::size_t target, double comm,
+                                       double extra_latency) {
+  Impl& impl = *impl_;
+  const std::size_t n = impl.config.lambda.size();
+  FAP_EXPECTS(time >= now_, "cannot inject an access in the past");
+  FAP_EXPECTS(source < n && target < n, "node out of range");
+  FAP_EXPECTS(extra_latency >= 0.0, "extra latency must be non-negative");
+  // Every injected access is an in-flight kArrive event on the one
+  // priority queue, due after its stall plus the route's transit.
+  impl.events.push(Event{time + extra_latency + impl.transit(source, target),
+                         impl.seq++, EventKind::kArrive, target, 0, source,
+                         comm, time});
 }
 
 void DesReferenceSystem::set_node_failed(std::size_t node, bool failed) {
@@ -300,7 +315,8 @@ void DesReferenceSystem::process_one_event() {
     const double service_start = it->second.service_start;
     const double sojourn = now_ - pending.arrival_time;
     ++impl.total_completions;
-    if (pending.arrival_time >= window_.start_time) {
+    if (impl.config.window_by_completion ||
+        pending.arrival_time >= window_.start_time) {
       window_.comm_cost.add(pending.comm_cost);
       window_.sojourn.add(sojourn);
       window_.node[node].sojourn.add(sojourn);

@@ -13,6 +13,11 @@
 // this reference both use the canonical ascending order, so their traces
 // can be compared bit for bit.
 //
+// It also serves the open-loop trace path (open_loop configs,
+// completion-time windows, inject_access): every injected access is a
+// plain kArrive push onto the one priority queue, the semantics the
+// rewritten engine's in-order arrival stream must reproduce.
+//
 // Its only callers are the golden-trace equivalence tests
 // (tests/sim_des_engine_equiv_test.cpp), which drive both engines through
 // identical scenario scripts and require every statistic, log entry and
@@ -41,6 +46,8 @@ class DesReferenceSystem {
   double now() const noexcept { return now_; }
   void set_routing(const std::vector<std::vector<double>>& routing);
   void set_node_failed(std::size_t node, bool failed);
+  void inject_access(double time, std::size_t source, std::size_t target,
+                     double comm, double extra_latency = 0.0);
   void advance_until(double time);
   std::size_t advance_completions(std::size_t count);
   void reset_window();
