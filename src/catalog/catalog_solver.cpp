@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/active_set.hpp"
 #include "runtime/sweep.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
@@ -18,6 +19,18 @@ CatalogSolver::CatalogSolver(const CatalogSpec& spec, CatalogOptions options)
               "repair margin must be in [0, 1)");
   FAP_EXPECTS(options_.max_repair_passes >= 1,
               "need at least one repair pass");
+  // The inner solves' option checks, with the ResourceDirectedAllocator's
+  // messages. The per-object model checks (λ_o > 0, μ_i > 0, stability)
+  // are spec-wide facts that validate() has already established.
+  const core::AllocatorOptions& inner = options_.inner;
+  FAP_EXPECTS(inner.alpha > 0.0, "step size must be positive");
+  FAP_EXPECTS(inner.epsilon > 0.0, "epsilon must be positive");
+  FAP_EXPECTS(inner.max_iterations > 0, "need at least one iteration");
+  FAP_EXPECTS(inner.dynamic_safety > 0.0 && inner.dynamic_safety <= 1.0,
+              "dynamic_safety must be in (0, 1]");
+  FAP_EXPECTS(!inner.record_trace,
+              "catalog inner solves do not record traces; use the serial "
+              "ResourceDirectedAllocator for traced runs");
 
   // Cbar_i = Σ_j w_j c_ji: the shared part of every object's access-cost
   // vector. Same accumulation pattern as SingleFileModel (j outer over
@@ -33,6 +46,13 @@ CatalogSolver::CatalogSolver(const CatalogSpec& spec, CatalogOptions options)
     for (std::size_t i = 0; i < n; ++i) {
       base_cost_[i] += weight * row[i];
     }
+  }
+
+  k_t0_.resize(n);
+  two_dt0_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    k_t0_[i] = spec_.k * spec_.delay.sojourn(0.0, spec_.mu[i]);
+    two_dt0_[i] = 2.0 * spec_.delay.d_sojourn(0.0, spec_.mu[i]);
   }
 
   if (options_.auto_price_scale) {
@@ -112,9 +132,116 @@ std::vector<double> CatalogSolver::object_start(
   return start;
 }
 
+/// One sweep task's scratch, sized to the node count and reused by every
+/// object of the task.
+struct CatalogSolver::InnerScratch {
+  explicit InnerScratch(std::size_t n)
+      : access(n), x(n), du(n), d2c(n) {
+    group.indices.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      group.indices[i] = i;
+    }
+    group.total = 1.0;
+  }
+
+  std::vector<double> access;  ///< priced C_i^o
+  std::vector<double> x;
+  std::vector<double> du;      ///< marginal utilities at x
+  std::vector<double> d2c;     ///< curvatures at x (kDynamic only)
+  std::vector<double> deltas;  ///< apply_step scratch
+  const std::vector<double> no_caps;  ///< objects have no storage caps
+  core::ConstraintGroup group;        ///< Σ_i x_i = 1 over every node
+  core::detail::ActiveSetWorkspace aset;
+};
+
+CatalogSolver::ObjectAllocation CatalogSolver::solve_object(
+    std::size_t o, const std::vector<double>& prices,
+    InnerScratch& s) const {
+  // ResourceDirectedAllocator::run on the object's SingleFileModel, with
+  // the same expressions in the same order: marginals → set A →
+  // spread → θ-scaled step, until ε or the iteration cap.
+  const std::size_t n = spec_.node_count();
+  const core::AllocatorOptions& inner = options_.inner;
+  const bool dynamic = inner.step_rule == core::StepRule::kDynamic;
+  const double rate = spec_.rate[o];
+  const double k = spec_.k;
+  const double rate_k = rate * k;
+  const queueing::DelayModel& delay = spec_.delay;
+
+  // The marginal utility (and curvature) of node i at s.x[i], as
+  // SingleFileModel computes them. A node holding no share has
+  // a = λ·0 = +0, where a·T'(a) and a·T''(a) are +0 and the model's
+  // expressions reduce bit for bit to the zero-load tables — so only
+  // support nodes evaluate the delay law.
+  const auto refresh = [&](std::size_t i) {
+    const double xi = s.x[i];
+    if (xi == 0.0) {
+      s.du[i] = -(s.access[i] + k_t0_[i]);
+      if (dynamic) {
+        s.d2c[i] = rate_k * two_dt0_[i];
+      }
+      return;
+    }
+    const double a = rate * xi;
+    const double mu = spec_.mu[i];
+    const double dt = delay.d_sojourn(a, mu);
+    s.du[i] = -(s.access[i] + k * (delay.sojourn(a, mu) + a * dt));
+    if (dynamic) {
+      s.d2c[i] = rate_k * (2.0 * dt + a * delay.d2_sojourn(a, mu));
+    }
+  };
+
+  assemble_access(o, prices, s.access.data());
+  std::fill(s.x.begin(), s.x.end(), 0.0);
+  s.x[start_node(o, s.access.data())] = 1.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    refresh(i);
+  }
+
+  ObjectAllocation out;
+  for (std::size_t iter = 0; iter < inner.max_iterations; ++iter) {
+    double alpha = inner.alpha;
+    if (dynamic) {
+      // Provisional α over the whole group, refined over set A.
+      alpha = inner.dynamic_safety *
+              core::detail::dynamic_alpha_bound(s.du, s.d2c,
+                                                s.group.indices, inner.alpha);
+    }
+    core::detail::active_set(s.group, s.x, s.du, alpha, s.no_caps, n,
+                             core::detail::UnitWeights{}, s.aset);
+    const std::vector<std::size_t>& active = s.aset.active;
+    if (dynamic) {
+      alpha = inner.dynamic_safety *
+              core::detail::dynamic_alpha_bound(s.du, s.d2c, active,
+                                                inner.alpha);
+    }
+    if (core::detail::marginal_spread(s.du, active) < inner.epsilon) {
+      out.converged = true;
+      break;
+    }
+    // In place: apply_step reads each entry before writing it, and only
+    // the active entries move, so only their marginals need refreshing.
+    core::detail::apply_step(active, s.x, s.du, alpha, s.no_caps,
+                             core::detail::UnitWeights{}, s.deltas, s.x);
+    for (const std::size_t i : active) {
+      refresh(i);
+    }
+    ++out.iterations;
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    if (s.x[i] != 0.0) {
+      out.placements.push_back(
+          Placement{static_cast<std::uint32_t>(i), s.x[i]});
+    }
+  }
+  return out;
+}
+
 std::vector<CatalogSolver::ObjectAllocation> CatalogSolver::solve_round(
     const std::vector<double>& prices) const {
   const std::size_t n = spec_.node_count();
+  FAP_EXPECTS(prices.size() == n, "one price per node");
   runtime::SweepOptions sweep_options;
   sweep_options.jobs = options_.jobs;
   sweep_options.base_seed = options_.base_seed;
@@ -130,37 +257,11 @@ std::vector<CatalogSolver::ObjectAllocation> CatalogSolver::solve_round(
       },
       [this, n, &prices](std::size_t,
                          const std::vector<std::uint32_t>& items) {
-        core::BatchAllocator batch(items.size());
-        std::vector<double> access(n);
-        std::vector<double> start(n);
-        for (const std::uint32_t o : items) {
-          assemble_access(o, prices, access.data());
-          std::fill(start.begin(), start.end(), 0.0);
-          start[start_node(o, access.data())] = 1.0;
-          core::BatchAllocator::RawInstance raw;
-          raw.n = n;
-          raw.total_rate = spec_.rate[o];
-          raw.k = spec_.k;
-          raw.delay = spec_.delay;
-          raw.access_cost = access.data();
-          raw.mu = spec_.mu.data();
-          raw.start = start.data();
-          batch.submit(raw, options_.inner);
-        }
-        std::vector<core::BatchRunResult> solved = batch.run_all();
+        InnerScratch scratch(n);
         std::vector<ObjectAllocation> out;
-        out.reserve(solved.size());
-        for (const core::BatchRunResult& run : solved) {
-          ObjectAllocation alloc;
-          alloc.iterations = static_cast<std::uint32_t>(run.iterations);
-          alloc.converged = run.converged;
-          for (std::size_t i = 0; i < n; ++i) {
-            if (run.x[i] != 0.0) {
-              alloc.placements.push_back(
-                  Placement{static_cast<std::uint32_t>(i), run.x[i]});
-            }
-          }
-          out.push_back(std::move(alloc));
+        out.reserve(items.size());
+        for (const std::uint32_t o : items) {
+          out.push_back(solve_object(o, prices, scratch));
         }
         return out;
       });

@@ -4,9 +4,12 @@
 //
 //   1. Post per-node capacity prices p (CapacityPriceLoop, starting at 0).
 //   2. Solve K independent single-file subproblems, object o seeing the
-//      priced access costs C_i^o + v_o p_i — fed in 64-lane batches
-//      through core::BatchAllocator, sharded across runtime::ThreadPool
-//      via runtime::batch_sweep.
+//      priced access costs C_i^o + v_o p_i — object-major: each sweep
+//      task (runtime::batch_sweep over runtime::ThreadPool) runs its
+//      objects one after another through the paper's §5.2 loop on one
+//      reused set of contiguous scratch, calling core's single group
+//      step (core/active_set.hpp). Zero-share nodes read their marginal
+//      from a per-node zero-load table (DESIGN.md, catalog inner solve).
 //   3. Account the resulting node loads Σ_o v_o x_i^o (compensated
 //      summation in canonical object order) and let the price loop step;
 //      repeat from 2 until the relative overload is within tolerance or
@@ -25,7 +28,8 @@
 // K = 1 and slack capacity the loop converges at round 0 with zero
 // prices, so the single inner solve IS the paper's algorithm on that
 // object's single-file problem — bit-identical to the serial
-// ResourceDirectedAllocator by the BatchAllocator equivalence contract.
+// ResourceDirectedAllocator, whose operation sequence every inner solve
+// repeats (pinned per object of a priced round by catalog_solver_test).
 #pragma once
 
 #include <cstddef>
@@ -36,7 +40,6 @@
 #include "catalog/capacity_price_loop.hpp"
 #include "catalog/catalog_spec.hpp"
 #include "core/allocator.hpp"
-#include "core/batch_allocator.hpp"
 #include "runtime/metrics.hpp"
 
 namespace fap::catalog {
@@ -50,8 +53,9 @@ struct CatalogOptions {
   /// so per-task --metrics records carry the same identity as every
   /// other sweep in the repo.
   std::uint64_t base_seed = 1;
-  /// Objects per BatchAllocator submission batch (one sweep task each).
-  std::size_t batch_width = core::BatchAllocator::kDefaultWidth;
+  /// Objects per sweep task. Each task solves its objects in turn on one
+  /// set of scratch; the width only sets the task granularity.
+  std::size_t batch_width = 64;
   /// Inner resource-directed solve controls. The defaults here override
   /// the AllocatorOptions defaults: a catalog round solves ~1e6 small
   /// problems from warm (point-mass) starts, so a moderate fixed step
@@ -120,7 +124,9 @@ struct CatalogResult {
 
 class CatalogSolver {
  public:
-  /// Validates the spec. The spec reference must outlive the solver.
+  /// Validates the spec and the options (including `inner`, with the
+  /// ResourceDirectedAllocator's messages; traced inner solves are
+  /// rejected). The spec reference must outlive the solver.
   CatalogSolver(const CatalogSpec& spec, CatalogOptions options);
 
   CatalogResult solve() const;
@@ -146,15 +152,30 @@ class CatalogSolver {
 
   const CatalogOptions& options() const noexcept { return options_; }
 
- private:
+  /// One object's inner solve in one round: the nonzero x_i^o in node
+  /// order, the §5.2 iterations it took and whether it met ε before the
+  /// iteration cap.
   struct ObjectAllocation {
     std::vector<Placement> placements;
     std::uint32_t iterations = 0;
     bool converged = false;
   };
 
+  /// One round of inner solves at `prices` (one entry per node), in
+  /// object order — the round solve() runs. Exposed so the serial
+  /// bit-identity test can compare every object of a priced round, not
+  /// only the zero-price round a slack solve() stops at.
   std::vector<ObjectAllocation> solve_round(
       const std::vector<double>& prices) const;
+
+ private:
+  struct InnerScratch;
+
+  /// Object o's inner solve at `prices`: the serial allocator's run()
+  /// sequence on `scratch`.
+  ObjectAllocation solve_object(std::size_t o,
+                                const std::vector<double>& prices,
+                                InnerScratch& scratch) const;
   std::vector<double> node_loads(
       const std::vector<ObjectAllocation>& allocations) const;
   void repair(std::vector<ObjectAllocation>& allocations,
@@ -176,6 +197,11 @@ class CatalogSolver {
   /// rows stream from spec_.comm_provider.
   const net::CostMatrix* dense_ = nullptr;
   std::vector<double> base_cost_;  ///< Σ_j w_j c_ji
+  /// Zero-load tables: k·T_i(0) and 2·T'_i(0). At x_i = 0 the marginal
+  /// −(C_i + k(T + a·T')) and curvature λk(2T' + a·T'') read these bit
+  /// for bit, since a = λ·0 = +0 (see solve_object).
+  std::vector<double> k_t0_;
+  std::vector<double> two_dt0_;
 };
 
 }  // namespace fap::catalog

@@ -29,12 +29,19 @@ void CatalogSpec::validate() const {
   FAP_EXPECTS(origin_weight.size() == n, "one origin weight per node");
   FAP_EXPECTS(volume.size() == count && home.size() == count,
               "object arrays must have equal length");
+  // Finiteness first, each with its own message: an infinite k, μ or
+  // rate would otherwise pass the sign checks and fail deep inside the
+  // solve, and an infinite budget or volume would be misreported by the
+  // capacity-total check below.
+  FAP_EXPECTS(std::isfinite(k), "k must be finite");
   FAP_EXPECTS(k >= 0.0, "k must be non-negative");
+  FAP_EXPECTS(std::isfinite(locality), "locality must be finite");
   FAP_EXPECTS(locality >= 0.0 && locality <= 1.0,
               "locality must be in [0, 1]");
 
   double weight_total = 0.0;
   for (const double w : origin_weight) {
+    FAP_EXPECTS(std::isfinite(w), "origin weights must be finite");
     FAP_EXPECTS(w >= 0.0, "origin weights must be non-negative");
     weight_total += w;
   }
@@ -43,23 +50,41 @@ void CatalogSpec::validate() const {
 
   double capacity_min = node_capacity.empty() ? 0.0 : node_capacity[0];
   for (const double cap : node_capacity) {
+    FAP_EXPECTS(std::isfinite(cap), "capacity budgets must be finite");
     FAP_EXPECTS(cap >= 0.0, "capacity budgets must be non-negative");
     capacity_min = std::min(capacity_min, cap);
   }
   double mu_min = mu[0];
   for (const double m : mu) {
+    FAP_EXPECTS(std::isfinite(m), "service rates must be finite");
     FAP_EXPECTS(m > 0.0, "service rates must be positive");
     mu_min = std::min(mu_min, m);
   }
 
+  // The per-object checks in message order. The O(K) loop below runs
+  // only the sign and range tests; NaN and -inf fail those, and +inf
+  // surfaces in rate_max or the volume total, so a non-finite field
+  // always reaches this and is reported by name.
+  const auto check_object = [&](std::size_t o) {
+    FAP_EXPECTS(std::isfinite(rate[o]), "object rates must be finite");
+    FAP_EXPECTS(rate[o] > 0.0, "object rates must be positive");
+    FAP_EXPECTS(std::isfinite(volume[o]), "object volumes must be finite");
+    FAP_EXPECTS(volume[o] > 0.0, "object volumes must be positive");
+    FAP_EXPECTS(home[o] < n, "home node out of range");
+  };
   double rate_max = 0.0;
   util::NeumaierSum volume_total;
   for (std::size_t o = 0; o < count; ++o) {
-    FAP_EXPECTS(rate[o] > 0.0, "object rates must be positive");
-    FAP_EXPECTS(volume[o] > 0.0, "object volumes must be positive");
-    FAP_EXPECTS(home[o] < n, "home node out of range");
+    if (!(rate[o] > 0.0 && volume[o] > 0.0 && home[o] < n)) {
+      check_object(o);
+    }
     rate_max = std::max(rate_max, rate[o]);
     volume_total.add(volume[o]);
+  }
+  if (!std::isfinite(rate_max) || !std::isfinite(volume_total.value())) {
+    for (std::size_t o = 0; o < count; ++o) {
+      check_object(o);
+    }
   }
   if (delay.rho_max() >= 1.0) {
     // Pure delay model: an object can concentrate fully on any node, so

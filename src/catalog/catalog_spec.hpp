@@ -65,8 +65,9 @@ struct CatalogSpec {
   std::size_t object_count() const noexcept { return rate.size(); }
 
   /// Throws PreconditionError unless the spec is well-formed: matching
-  /// sizes, positive rates/volumes/μ, locality in [0, 1], origin weights
-  /// a distribution, total capacity holding the total volume, and — for
+  /// sizes, finite k/μ/rates/volumes/budgets/locality/weights (each
+  /// non-finite field with its own message), positive rates/volumes/μ,
+  /// locality in [0, 1], origin weights a distribution, total capacity holding the total volume, and — for
   /// pure (non-linearized) delay models — every object's full rate below
   /// every node's service capacity.
   void validate() const;

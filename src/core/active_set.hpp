@@ -6,6 +6,8 @@
 //     serial allocator is what keeps the batch path decision-identical
 //     (and therefore bit-identical) to it;
 //   * NewtonAllocator::step (inverse-curvature weights, §8.2);
+//   * catalog::CatalogSolver's per-object inner solves (unit weights,
+//     one group, no caps, in place on per-task scratch);
 //   * econ::resource_directed_plan (unit weights, one group, no caps).
 //
 // A group step has three parts: set A (active_set), the dynamic-α bound

@@ -86,11 +86,11 @@ class BatchAllocator {
 
   /// A submission without the SingleFileModel wrapper: exactly the fields
   /// run_all() consumes, by pointer into caller-owned storage (borrowed
-  /// only for the duration of submit(), which copies). The catalog engine
-  /// feeds ~1e6 instances per pricing round; constructing a model object
-  /// (comm matrix + λ vector + access-cost aggregation) per instance
-  /// would dominate the solve, while the priced access-cost vector is
-  /// already assembled. `caps` may be null (unbounded).
+  /// only for the duration of submit(), which copies). For callers that
+  /// already hold an assembled access-cost vector per instance — a
+  /// replay of a catalog round submits ~1e5 of them — constructing a
+  /// model object (comm matrix + λ vector + access-cost aggregation) per
+  /// instance would dominate the run. `caps` may be null (unbounded).
   struct RawInstance {
     std::size_t n = 0;
     double total_rate = 0.0;         ///< λ (arrival at node i is λ·x_i)

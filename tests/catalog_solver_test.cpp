@@ -9,14 +9,24 @@
 //   * with slack capacity the engine degenerates to K independent
 //     single-file solves at zero prices, each matching its serial twin;
 //   * under tight capacity the returned allocation is FEASIBLE: residual
-//     <= 1e-9 in volume units, every object's fractions still sum to 1.
+//     <= 1e-9 in volume units, every object's fractions still sum to 1;
+//   * at seeded nonzero prices every object of a round matches its
+//     serial twin (x bits, iterations, convergence), and whole solves of
+//     three committed-shape specs are pinned byte for byte;
+//   * malformed and adversarial specs are rejected with a message that
+//     names the fault, or solve feasibly.
 #include "catalog/catalog_solver.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "catalog/catalog_spec.hpp"
@@ -28,6 +38,7 @@
 #include "net/shortest_paths.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -39,9 +50,12 @@ using fap::catalog::make_synthetic_catalog;
 using fap::catalog::Placement;
 using fap::catalog::SyntheticCatalogOptions;
 using fap::core::AllocationResult;
+using fap::core::AllocatorOptions;
+using fap::core::StepRule;
 using fap::core::ResourceDirectedAllocator;
 using fap::core::SingleFileModel;
 using fap::core::SingleFileProblem;
+using fap::queueing::DelayModel;
 using fap::util::PreconditionError;
 
 ::testing::AssertionResult BitsEqual(double a, double b) {
@@ -85,6 +99,18 @@ AllocationResult serial_reference(const CatalogSpec& spec,
   const SingleFileModel model(std::move(problem));
   const ResourceDirectedAllocator serial(model, solver.options().inner);
   return serial.run(solver.object_start(o, prices));
+}
+
+// Runs `f`, which must throw PreconditionError naming `message`.
+template <class F>
+void expect_precondition(F f, const std::string& message) {
+  try {
+    f();
+    ADD_FAILURE() << "no PreconditionError; expected \"" << message << "\"";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << "message was: " << e.what();
+  }
 }
 
 void expect_identical(const CatalogResult& a, const CatalogResult& b) {
@@ -438,6 +464,443 @@ TEST(CatalogSolver, ValidatesSpecAndOptions) {
   options = CatalogOptions{};
   options.max_repair_passes = 0;
   EXPECT_THROW(CatalogSolver(good, options), PreconditionError);
+
+  // The inner-solve options are checked once, up front, with the
+  // serial allocator's messages.
+  const auto expect_inner_rejected = [&good](AllocatorOptions inner,
+                                             const std::string& message) {
+    CatalogOptions bad_options;
+    bad_options.inner = inner;
+    expect_precondition([&] { CatalogSolver(good, bad_options); }, message);
+  };
+  const AllocatorOptions defaults = CatalogOptions{}.inner;
+  AllocatorOptions inner = defaults;
+  inner.alpha = 0.0;
+  expect_inner_rejected(inner, "step size must be positive");
+  inner = defaults;
+  inner.epsilon = -1e-4;
+  expect_inner_rejected(inner, "epsilon must be positive");
+  inner = defaults;
+  inner.max_iterations = 0;
+  expect_inner_rejected(inner, "need at least one iteration");
+  inner = defaults;
+  inner.dynamic_safety = 0.0;
+  expect_inner_rejected(inner, "dynamic_safety must be in (0, 1]");
+  inner.dynamic_safety = 1.5;
+  expect_inner_rejected(inner, "dynamic_safety must be in (0, 1]");
+  inner = defaults;
+  inner.record_trace = true;
+  expect_inner_rejected(inner, "do not record traces");
+  inner = defaults;
+  inner.step_rule = StepRule::kDynamic;
+  inner.dynamic_safety = 1.0;
+  EXPECT_NO_THROW({
+    CatalogOptions dynamic;
+    dynamic.inner = inner;
+    CatalogSolver(good, dynamic);
+  });
+
+  // solve_round needs one price per node.
+  const CatalogSolver solver(good, CatalogOptions{});
+  EXPECT_THROW(solver.solve_round(std::vector<double>(3, 0.0)),
+               PreconditionError);
+}
+
+// Non-finite spec fields are rejected at validate() with a message that
+// names the field, instead of passing the sign checks and failing deep
+// in the solve (k, μ, rates) or being misreported by the capacity-total
+// check (budgets, volumes).
+TEST(CatalogSpecTest, RejectsNonFiniteInputsWithTheirOwnMessages) {
+  SyntheticCatalogOptions synth;
+  synth.objects = 50;
+  synth.nodes = 8;
+  const CatalogSpec good = make_synthetic_catalog(synth, 13);
+  EXPECT_NO_THROW(good.validate());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+
+  struct Case {
+    const char* message;
+    void (*corrupt)(CatalogSpec&, double);
+  };
+  const Case cases[] = {
+      {"k must be finite", [](CatalogSpec& s, double v) { s.k = v; }},
+      {"service rates must be finite",
+       [](CatalogSpec& s, double v) { s.mu[2] = v; }},
+      {"object rates must be finite",
+       [](CatalogSpec& s, double v) { s.rate[17] = v; }},
+      {"object volumes must be finite",
+       [](CatalogSpec& s, double v) { s.volume[3] = v; }},
+      {"capacity budgets must be finite",
+       [](CatalogSpec& s, double v) { s.node_capacity[1] = v; }},
+      {"locality must be finite",
+       [](CatalogSpec& s, double v) { s.locality = v; }},
+      {"origin weights must be finite",
+       [](CatalogSpec& s, double v) { s.origin_weight[4] = v; }},
+  };
+  for (const Case& c : cases) {
+    for (const double value : {kInf, -kInf, kNan}) {
+      SCOPED_TRACE(std::string(c.message) + " with " + std::to_string(value));
+      CatalogSpec bad = good;
+      c.corrupt(bad, value);
+      expect_precondition([&] { bad.validate(); }, c.message);
+      expect_precondition([&] { CatalogSolver(bad, CatalogOptions{}); },
+                          c.message);
+    }
+  }
+}
+
+// Seeded adversarial specs at the solver's entry point: one-node
+// networks, networks where every node ties, and catalogs far larger
+// than the capacity. Valid ones must solve feasibly and deterministically;
+// the overfull ones must be rejected up front.
+TEST(CatalogSpecTest, AdversarialSpecsSolveFeasiblyOrAreRejected) {
+  const auto check_feasible = [](const CatalogSpec& spec,
+                                 const CatalogResult& r) {
+    EXPECT_LE(r.residual, 1e-9);
+    ASSERT_EQ(r.offsets.size(), spec.object_count() + 1);
+    for (std::size_t o = 0; o < spec.object_count(); ++o) {
+      fap::util::NeumaierSum mass;
+      for (std::uint32_t p = r.offsets[o]; p < r.offsets[o + 1]; ++p) {
+        ASSERT_LT(r.placements[p].node, spec.node_count());
+        EXPECT_GT(r.placements[p].fraction, 0.0);
+        mass.add(r.placements[p].fraction);
+      }
+      EXPECT_NEAR(mass.value(), 1.0, 1e-9) << "object " << o;
+    }
+  };
+
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    fap::util::Rng rng(seed);
+    const std::size_t objects = 20 + rng.uniform_index(80);
+
+    // n = 1: every object sits whole on the only node. (Built by hand:
+    // the synthetic generator's random metric needs two nodes.)
+    {
+      CatalogSpec spec;
+      spec.comm = fap::net::CostMatrix(1);
+      spec.mu = {1.0};
+      spec.k = rng.uniform(0.1, 2.0);
+      spec.origin_weight = {1.0};
+      spec.locality = rng.uniform(0.0, 1.0);
+      double volume_total = 0.0;
+      for (std::size_t o = 0; o < objects; ++o) {
+        spec.rate.push_back(rng.uniform(0.01, 0.9));
+        spec.volume.push_back(rng.uniform(0.05, 1.0));
+        spec.home.push_back(0);
+        volume_total += spec.volume.back();
+      }
+      spec.node_capacity = {volume_total * rng.uniform(1.0, 1.5)};
+      const CatalogResult r = CatalogSolver(spec, CatalogOptions{}).solve();
+      check_feasible(spec, r);
+      for (std::size_t o = 0; o < spec.object_count(); ++o) {
+        ASSERT_EQ(r.offsets[o + 1] - r.offsets[o], 1u);
+        EXPECT_EQ(r.placements[r.offsets[o]].fraction, 1.0);
+      }
+    }
+
+    // All-tied access costs: a complete graph with equal links, a uniform
+    // origin mix, no locality and equal service rates, so every node is
+    // interchangeable and only index order breaks ties.
+    {
+      const std::size_t n = 2 + rng.uniform_index(10);
+      CatalogSpec spec;
+      spec.comm = fap::net::all_pairs_shortest_paths(
+          fap::net::make_complete(n, rng.uniform(0.5, 2.0)));
+      spec.mu.assign(n, 1.0);
+      spec.k = rng.uniform(0.1, 2.0);
+      spec.origin_weight.assign(n, 1.0 / static_cast<double>(n));
+      spec.locality = 0.0;
+      double volume_total = 0.0;
+      for (std::size_t o = 0; o < objects; ++o) {
+        spec.rate.push_back(rng.uniform(0.01, 0.5));
+        spec.volume.push_back(rng.uniform(0.05, 1.0));
+        spec.home.push_back(static_cast<std::uint32_t>(rng.uniform_index(n)));
+        volume_total += spec.volume.back();
+      }
+      spec.node_capacity.assign(
+          n, volume_total * rng.uniform(1.01, 1.5) / static_cast<double>(n));
+      const CatalogResult r = CatalogSolver(spec, CatalogOptions{}).solve();
+      check_feasible(spec, r);
+      CatalogOptions sharded;
+      sharded.jobs = 3;
+      sharded.batch_width = 5;
+      expect_identical(r, CatalogSolver(spec, sharded).solve());
+    }
+
+    // Total volume far beyond total capacity: rejected before any solve.
+    {
+      SyntheticCatalogOptions synth;
+      synth.objects = objects;
+      synth.nodes = 2 + rng.uniform_index(10);
+      CatalogSpec spec = make_synthetic_catalog(synth, seed);
+      const double shrink = rng.uniform(1e-3, 0.5);
+      for (double& cap : spec.node_capacity) {
+        cap *= shrink;
+      }
+      expect_precondition([&] { CatalogSolver(spec, CatalogOptions{}); },
+                          "total capacity must hold the total catalog volume");
+    }
+  }
+}
+
+// FNV-1a over the solved bytes: the CSR offsets, every placement's node
+// and fraction bits, and the final prices.
+std::uint64_t result_hash(const CatalogResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const std::uint32_t offset : r.offsets) {
+    mix(offset);
+  }
+  for (const Placement& placement : r.placements) {
+    mix(placement.node);
+    mix(std::bit_cast<std::uint64_t>(placement.fraction));
+  }
+  for (const double price : r.prices) {
+    mix(std::bit_cast<std::uint64_t>(price));
+  }
+  return h;
+}
+
+struct PinnedOutputs {
+  std::size_t rounds;
+  std::uint64_t inner_iterations;
+  std::size_t unconverged_objects;
+  std::size_t repair_moves;
+  double residual;
+  double pre_repair_residual;
+  double hit_rate;
+  double external_traffic;
+  std::uint64_t hash;
+};
+
+void expect_pinned(const CatalogResult& r, const PinnedOutputs& pin) {
+  char actual[512];
+  std::snprintf(actual, sizeof actual,
+                "actual {%zu, %" PRIu64 ", %zu, %zu, %a, %a, %a, %a, "
+                "0x%016" PRIx64 "ULL}",
+                r.rounds, r.inner_iterations, r.unconverged_objects,
+                r.repair_moves, r.residual, r.pre_repair_residual,
+                r.hit_rate, r.external_traffic, result_hash(r));
+  SCOPED_TRACE(actual);
+  EXPECT_EQ(r.rounds, pin.rounds);
+  EXPECT_EQ(r.inner_iterations, pin.inner_iterations);
+  EXPECT_EQ(r.unconverged_objects, pin.unconverged_objects);
+  EXPECT_EQ(r.repair_moves, pin.repair_moves);
+  EXPECT_TRUE(BitsEqual(r.residual, pin.residual));
+  EXPECT_TRUE(BitsEqual(r.pre_repair_residual, pin.pre_repair_residual));
+  EXPECT_TRUE(BitsEqual(r.hit_rate, pin.hit_rate));
+  EXPECT_TRUE(BitsEqual(r.external_traffic, pin.external_traffic));
+  EXPECT_EQ(result_hash(r), pin.hash);
+}
+
+// Byte-level pins of whole solves, so a rewrite of the inner-solve path
+// must reproduce every round, price and repair move: a contended and a
+// slack catalog on a 32-node metric network, and a contended catalog on
+// a geo-tier tree streamed through the implicit (tier-arithmetic)
+// provider.
+TEST(CatalogSolver, OutputsArePinned) {
+  SyntheticCatalogOptions synth;
+  synth.objects = 2000;
+  synth.nodes = 32;
+  synth.zipf_s = 0.9;
+
+  synth.headroom = 0.1;
+  const CatalogSpec contended = make_synthetic_catalog(synth, 3);
+  {
+    SCOPED_TRACE("contended");
+    expect_pinned(CatalogSolver(contended, CatalogOptions{}).solve(),
+                  PinnedOutputs{16, 24359, 5, 19, 0x0p+0,
+                                0x1.50150249cfa38p+1, 0x1.a58c253e73409p-2,
+                                0x1.dd2a2b1b20971p+0,
+                                0xb6fad2e8163ea378ULL});
+  }
+
+  synth.headroom = 2.0;
+  const CatalogSpec slack = make_synthetic_catalog(synth, 3);
+  {
+    SCOPED_TRACE("slack");
+    expect_pinned(CatalogSolver(slack, CatalogOptions{}).solve(),
+                  PinnedOutputs{1, 9698, 0, 0, 0x0p+0, 0x0p+0,
+                                0x1.aa5d08df4bcaep-2, 0x1.d9c1ef608e4a9p+0,
+                                0x28b83045950aad21ULL});
+  }
+
+  const fap::net::TieredNetwork tiered = fap::net::make_geo_tiers(2, 2, 4);
+  SyntheticCatalogOptions geo;
+  geo.objects = 600;
+  geo.nodes = tiered.topology.node_count();  // 29
+  geo.headroom = 0.12;
+  const CatalogSpec implicit = make_synthetic_catalog(
+      geo, 5,
+      std::make_shared<fap::net::HierarchicalCostProvider>(tiered.spec));
+  {
+    SCOPED_TRACE("geo-tiers implicit");
+    expect_pinned(CatalogSolver(implicit, CatalogOptions{}).solve(),
+                  PinnedOutputs{16, 26071, 0, 35, 0x0p+0,
+                                0x1.b7a3f354658a4p+0, 0x1.ca06b78374784p-2,
+                                0x1.a03fb3f6fd212p+5,
+                                0x867f149d0488b234ULL});
+  }
+}
+
+// Seeded prices of the order of the base access-cost spread, so the
+// v_o·p_i terms re-rank nodes and many objects fragment.
+std::vector<double> seeded_prices(const CatalogSolver& solver,
+                                  std::uint64_t seed) {
+  const std::vector<double>& base = solver.base_access_cost();
+  const auto [lo, hi] = std::minmax_element(base.begin(), base.end());
+  const double span = *hi - *lo > 0.0 ? *hi - *lo : 1.0;
+  fap::util::Rng rng(seed);
+  std::vector<double> prices(base.size());
+  for (double& p : prices) {
+    p = span * rng.uniform();
+  }
+  return prices;
+}
+
+// Every object of a priced round is the paper's serial algorithm on that
+// object's single-file problem: the same x bits, the same iteration
+// count and the same convergence flag, for every delay discipline the
+// catalog accepts, both step rules, and dense and provider-backed specs.
+// The iteration cap is lowered so capped objects are covered too.
+TEST(CatalogSolver, RoundMatchesSerialAllocatorBitwise) {
+  struct Case {
+    const char* name;
+    DelayModel delay;
+    StepRule rule;
+    bool provider;
+    std::size_t objects;
+  };
+  const Case cases[] = {
+      {"mm1 fixed", DelayModel::mm1(), StepRule::kFixed, false, 160},
+      {"mm1 dynamic", DelayModel::mm1(), StepRule::kDynamic, false, 160},
+      {"mmc fixed", DelayModel::mmc(2), StepRule::kFixed, false, 40},
+      {"mmc dynamic", DelayModel::mmc(3), StepRule::kDynamic, false, 40},
+      {"tangent fixed", DelayModel::mm1(0.3), StepRule::kFixed, false, 160},
+      {"tangent dynamic", DelayModel::mg1(2.0, 0.3), StepRule::kDynamic,
+       false, 160},
+      {"provider fixed", DelayModel::mm1(), StepRule::kFixed, true, 120},
+      {"provider dynamic", DelayModel::md1(), StepRule::kDynamic, true, 120},
+  };
+  const fap::net::TieredNetwork tiered = fap::net::make_geo_tiers(2, 2, 2);
+  std::uint64_t seed = 101;
+  std::size_t capped = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SyntheticCatalogOptions synth;
+    synth.objects = c.objects;
+    synth.zipf_s = 0.9;
+    synth.headroom = 0.2;
+    CatalogSpec spec;
+    if (c.provider) {
+      synth.nodes = tiered.topology.node_count();  // 21
+      spec = make_synthetic_catalog(
+          synth, seed,
+          std::make_shared<fap::net::HierarchicalCostProvider>(tiered.spec));
+    } else {
+      synth.nodes = 11;
+      spec = make_synthetic_catalog(synth, seed);
+    }
+    spec.delay = c.delay;
+
+    CatalogOptions options;
+    options.inner.step_rule = c.rule;
+    options.inner.max_iterations = 300;
+    options.batch_width = 16;  // several objects share each sweep task
+    const CatalogSolver solver(spec, options);
+    const std::vector<double> prices = seeded_prices(solver, seed);
+    const std::vector<CatalogSolver::ObjectAllocation> round =
+        solver.solve_round(prices);
+    ASSERT_EQ(round.size(), spec.object_count());
+
+    std::size_t fragmented = 0;
+    for (std::size_t o = 0; o < spec.object_count(); ++o) {
+      SCOPED_TRACE("object " + std::to_string(o));
+      const AllocationResult expected =
+          serial_reference(spec, solver, o, prices);
+      EXPECT_EQ(round[o].iterations, expected.iterations);
+      EXPECT_EQ(round[o].converged, expected.converged);
+      std::vector<double> x(spec.node_count(), 0.0);
+      for (const Placement& placement : round[o].placements) {
+        ASSERT_LT(placement.node, spec.node_count());
+        EXPECT_NE(placement.fraction, 0.0);
+        x[placement.node] = placement.fraction;
+      }
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_TRUE(BitsEqual(expected.x[i], x[i])) << "node " << i;
+      }
+      capped += expected.converged ? 0 : 1;
+      fragmented += round[o].placements.size() > 1 ? 1 : 0;
+    }
+    // The round must exercise more than point masses.
+    EXPECT_GT(fragmented, 0u);
+    ++seed;
+  }
+  EXPECT_GT(capped, 0u);  // the cap path is covered as well
+}
+
+// The zero-load identity the catalog's per-node marginal table rests on:
+// at x_i = 0 the arrival rate is a = λ·0 = +0 and a·T'(a) = +0, so the
+// model's marginal utility −(C_i + k(T(a) + a T'(a))) is bit-for-bit
+// −(C_i + k·T_i(0)), and its curvature λk(2T'(a) + a T''(a)) is
+// (λk)·(2T'_i(0)) — for every delay discipline, pure or tangent-extended.
+TEST(CatalogSolver, ZeroLoadMarginalIdentityHoldsForEveryDelayModel) {
+  const DelayModel delays[] = {
+      DelayModel::mm1(),         DelayModel::md1(),
+      DelayModel::mg1(2.5),      DelayModel::mmc(3),
+      DelayModel::mm1(0.4),      DelayModel::mg1(0.5, 0.6),
+      DelayModel::mmc(2, 0.7)};
+  fap::util::Rng rng(44);
+  constexpr std::size_t kNodes = 7;
+  for (const DelayModel& delay : delays) {
+    for (int trial = 0; trial < 25; ++trial) {
+      std::vector<double> mu(kNodes);
+      std::vector<double> access(kNodes);
+      double mu_min = std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < kNodes; ++i) {
+        mu[i] = rng.uniform(0.5, 3.0);
+        access[i] = rng.uniform(0.0, 4.0);
+        mu_min = std::min(mu_min, mu[i]);
+      }
+      const double rate = rng.uniform(0.01, 0.9) * mu_min;
+      const double k = trial == 0 ? 0.0 : rng.uniform(0.1, 3.0);
+      std::vector<double> lambda(kNodes, 0.0);
+      lambda[0] = rate;
+      SingleFileProblem problem{fap::net::CostMatrix(0),
+                                std::move(lambda),
+                                mu,
+                                k,
+                                delay,
+                                {},
+                                {},
+                                access,
+                                nullptr};
+      const SingleFileModel model(std::move(problem));
+      const std::size_t support = trial % kNodes;
+      std::vector<double> x(kNodes, 0.0);
+      x[support] = 1.0;
+      const std::vector<double> du = model.marginal_utilities(x);
+      const std::vector<double> d2c = model.second_derivative(x);
+      for (std::size_t i = 0; i < kNodes; ++i) {
+        if (i == support) {
+          continue;
+        }
+        const double k_t0 = k * delay.sojourn(0.0, mu[i]);
+        const double two_dt0 = 2.0 * delay.d_sojourn(0.0, mu[i]);
+        EXPECT_TRUE(BitsEqual(du[i], -(access[i] + k_t0)))
+            << "trial " << trial << " node " << i;
+        EXPECT_TRUE(BitsEqual(d2c[i], (rate * k) * two_dt0))
+            << "trial " << trial << " node " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
