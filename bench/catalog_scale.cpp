@@ -108,6 +108,11 @@ int main(int argc, char** argv) {
                  "geo-tiers (the metric network is the dense baseline)\n";
     return 2;
   }
+  if (!tiered && nodes < 2) {
+    std::cerr << argv[0]
+              << ": --nodes must be at least 2 on the metric topology\n";
+    return 2;
+  }
 
   bench::print_header(
       "Experiment A16",

@@ -13,7 +13,6 @@
 #include "core/allocator.hpp"
 #include "core/batch_allocator.hpp"
 #include "core/batch_kernels.hpp"
-#include "core/simd_dispatch.hpp"
 #include "core/ring_model.hpp"
 #include "core/single_file.hpp"
 #include "core/trace_export.hpp"
@@ -224,8 +223,8 @@ void BM_SerialAllocatorStep(benchmark::State& state) {
 BENCHMARK(BM_SerialAllocatorStep)->Arg(8)->Arg(64)->Arg(256);
 
 // --- Isolated kernel benchmarks: the dense SoA passes without the
-// lockstep driver around them, so kernel-level regressions (or SIMD
-// wins) are visible separately from submit/retire bookkeeping. The
+// lockstep driver around them, so kernel-level regressions are visible
+// separately from submit/retire bookkeeping. The
 // synthetic plane mirrors the BM_BatchAllocatorStep population: n = 16
 // single-server rows, per-lane step sizes, fixed step rule.
 core::detail::BatchSoA make_kernel_bench_soa(std::size_t lanes) {
@@ -233,10 +232,8 @@ core::detail::BatchSoA make_kernel_bench_soa(std::size_t lanes) {
   const std::size_t stride = core::detail::round_up_stride(lanes);
   soa.stride = stride;
   soa.live = lanes;
-  soa.node_cap = kStepBenchNodes;
   soa.n_min = kStepBenchNodes;
   soa.n_max = kStepBenchNodes;
-  soa.any_dyn = false;
   const std::size_t cells = kStepBenchNodes * stride;
   soa.x.assign(cells, 0.0);
   soa.xn.assign(cells, 0.0);
@@ -244,15 +241,15 @@ core::detail::BatchSoA make_kernel_bench_soa(std::size_t lanes) {
   soa.d2c.assign(cells, 0.0);
   soa.c.assign(cells, 0.0);
   soa.mu.assign(cells, 1.0);
-  soa.imu.assign(cells, 1.0);
   soa.cap.assign(cells, std::numeric_limits<double>::infinity());
   for (util::AlignedVector* v :
        {&soa.lane_tr, &soa.lane_k, &soa.lane_scv, &soa.lane_rho,
-        &soa.lane_nd, &soa.lane_dynd, &soa.lane_alpha_opt,
+        &soa.lane_nd, &soa.lane_alpha_opt,
         &soa.lane_safety, &soa.sum_full, &soa.avg_full, &soa.alpha,
         &soa.lo, &soa.hi, &soa.theta}) {
     v->assign(stride, 0.0);
   }
+  soa.lane_dyn.assign(stride, 0);
   soa.pinc.assign(stride, 0u);
   soa.viol.assign(stride, 0u);
   for (std::size_t k = 0; k < lanes; ++k) {
@@ -261,7 +258,6 @@ core::detail::BatchSoA make_kernel_bench_soa(std::size_t lanes) {
       soa.x[j * stride + k] = start[j];
       soa.c[j * stride + k] = 0.5 + 0.1 * static_cast<double>(j % 5);
       soa.mu[j * stride + k] = 1.5;
-      soa.imu[j * stride + k] = 1.0 / 1.5;
     }
     soa.lane_tr[k] = 1.0;
     soa.lane_k[k] = 1.0;
@@ -276,56 +272,36 @@ core::detail::BatchSoA make_kernel_bench_soa(std::size_t lanes) {
 
 // One delay-law + marginal-utility row sweep (the division-heavy pass).
 // items = lane-cells evaluated.
-void kernel_gradient_bench(benchmark::State& state,
-                           const core::detail::BatchKernels& kernels) {
+void BM_BatchKernelGradient(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   core::detail::BatchSoA soa = make_kernel_bench_soa(lanes);
   for (auto _ : state) {
-    kernels.derivative_rows(soa, /*with_second=*/false);
+    core::detail::derivative_rows(soa, /*with_second=*/false);
     benchmark::DoNotOptimize(soa.du.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(lanes) *
                           static_cast<int64_t>(kStepBenchNodes));
 }
+BENCHMARK(BM_BatchKernelGradient)->Arg(64)->Arg(256);
 
 // The census + θ + clamp-apply passes (the step's boundary logic).
 // items = lane-steps applied.
-void kernel_step_bench(benchmark::State& state,
-                       const core::detail::BatchKernels& kernels) {
+void BM_BatchKernelStep(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   core::detail::BatchSoA soa = make_kernel_bench_soa(lanes);
-  kernels.derivative_rows(soa, /*with_second=*/false);
-  kernels.lane_sums(soa);
-  kernels.step_sizes(soa);
+  core::detail::derivative_rows(soa, /*with_second=*/false);
+  core::detail::lane_sums(soa);
+  core::detail::step_sizes(soa);
   for (auto _ : state) {
-    kernels.census_theta(soa);
-    kernels.apply_step(soa);
+    core::detail::census_theta(soa);
+    core::detail::apply_rows(soa);
     benchmark::DoNotOptimize(soa.xn.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(lanes));
 }
-
-void BM_BatchKernelGradient(benchmark::State& state) {
-  kernel_gradient_bench(state, core::detail::select_batch_kernels());
-}
-BENCHMARK(BM_BatchKernelGradient)->Arg(64)->Arg(256);
-
-void BM_BatchKernelGradientScalar(benchmark::State& state) {
-  kernel_gradient_bench(state, core::detail::scalar_batch_kernels());
-}
-BENCHMARK(BM_BatchKernelGradientScalar)->Arg(64)->Arg(256);
-
-void BM_BatchKernelStep(benchmark::State& state) {
-  kernel_step_bench(state, core::detail::select_batch_kernels());
-}
 BENCHMARK(BM_BatchKernelStep)->Arg(64)->Arg(256);
-
-void BM_BatchKernelStepScalar(benchmark::State& state) {
-  kernel_step_bench(state, core::detail::scalar_batch_kernels());
-}
-BENCHMARK(BM_BatchKernelStepScalar)->Arg(64)->Arg(256);
 
 void BM_FullConvergence(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -742,20 +718,16 @@ BENCHMARK(BM_CatalogSolve)
 }  // namespace
 
 // Expanded BENCHMARK_MAIN() so the JSON context records THIS binary's
-// build type and the SIMD level dispatch resolved at startup. The
-// library's own "library_build_type" context field describes how
-// libbenchmark was built (the system package reports "debug"), which is
-// useless for deciding whether a capture is comparable —
-// scripts/perf_check.py reads fap_build_type instead.
+// build type. The library's own "library_build_type" context field
+// describes how libbenchmark was built (the system package reports
+// "debug"), which is useless for deciding whether a capture is
+// comparable — scripts/perf_check.py reads fap_build_type instead.
 int main(int argc, char** argv) {
 #if defined(NDEBUG)
   benchmark::AddCustomContext("fap_build_type", "release");
 #else
   benchmark::AddCustomContext("fap_build_type", "debug");
 #endif
-  benchmark::AddCustomContext(
-      "fap_simd_level",
-      fap::core::simd_level_name(fap::core::active_simd_level()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;

@@ -29,11 +29,11 @@ int main() {
   const net::CostMatrix comm = net::all_pairs_shortest_paths(ring);
 
   // Hidden truth, phase 1: node 0 is hot.
-  core::SingleFileProblem phase1{
-      comm, {0.45, 0.05, 0.05, 0.05, 0.05, 0.05},
-      std::vector<double>(6, 1.4), /*k=*/1.0, queueing::DelayModel(), {},
-      {},
-      {}};
+  core::SingleFileProblem phase1;
+  phase1.comm = comm;
+  phase1.lambda = {0.45, 0.05, 0.05, 0.05, 0.05, 0.05};
+  phase1.mu.assign(6, 1.4);
+  phase1.k = 1.0;
   // Hidden truth, phase 2: the hot spot jumps to node 3.
   core::SingleFileProblem phase2 = phase1;
   phase2.lambda = {0.05, 0.05, 0.05, 0.45, 0.05, 0.05};

@@ -20,16 +20,12 @@ namespace {
 fap::core::SingleFileProblem hidden_truth(const fap::net::CostMatrix& comm,
                                           int epoch) {
   const double shift = static_cast<double>(epoch) / 4.0;  // 0 .. 1
-  fap::core::SingleFileProblem truth{
-      comm,
-      {0.40 * (1.0 - shift) + 0.05, 0.10, 0.10,
-       0.10, 0.40 * shift + 0.05, 0.10},
-      std::vector<double>(6, 2.0),
-      /*k=*/1.0,
-      fap::queueing::DelayModel(),
-      {},
-      {},
-      {}};
+  fap::core::SingleFileProblem truth;
+  truth.comm = comm;
+  truth.lambda = {0.40 * (1.0 - shift) + 0.05, 0.10, 0.10,
+                  0.10, 0.40 * shift + 0.05, 0.10};
+  truth.mu.assign(6, 2.0);
+  truth.k = 1.0;
   if (epoch >= 2) {
     truth.mu[2] = 1.2;  // degraded disk
   }

@@ -169,13 +169,15 @@ CatalogSpec build_synthetic(
 
 net::Topology synthetic_topology(const SyntheticCatalogOptions& options,
                                  std::uint64_t seed) {
+  FAP_EXPECTS(options.nodes >= 2,
+              "the synthetic catalog's random-metric network needs at least "
+              "two nodes");
   // The topology draws from a split of the spec stream so that the
   // origin-weight draws in build_synthetic are independent of how many
   // variates the generator consumed.
   util::Rng rng(seed);
   util::Rng topo_rng = rng.split();
-  const std::size_t neighbors = std::min<std::size_t>(
-      3, options.nodes > 1 ? options.nodes - 1 : 1);
+  const std::size_t neighbors = std::min<std::size_t>(3, options.nodes - 1);
   return net::make_random_metric(options.nodes, neighbors, topo_rng);
 }
 

@@ -95,13 +95,16 @@ struct SyntheticCatalogOptions {
 /// mix drawn from Rng(seed), Zipf rates, and per-object volume/home drawn
 /// from Rng(runtime::task_seed(seed, o)) — each object's data is a pure
 /// function of (seed, o), the same splitting contract as runtime::sweep,
-/// so regenerating any subset of objects is order-independent.
+/// so regenerating any subset of objects is order-independent. The
+/// random-metric network needs options.nodes >= 2 (PreconditionError
+/// otherwise); a one-node catalog takes the explicit-network variant.
 CatalogSpec make_synthetic_catalog(const SyntheticCatalogOptions& options,
                                    std::uint64_t seed);
 
 /// Cache-aware variant: identical result (the cache returns the matrix
 /// all_pairs_shortest_paths would compute), but repeated calls with the
 /// same (nodes, seed) — e.g. the bench's K-ladder — pay the APSP once.
+/// Same options.nodes >= 2 precondition.
 CatalogSpec make_synthetic_catalog(const SyntheticCatalogOptions& options,
                                    std::uint64_t seed,
                                    net::CostMatrixCache& cache);

@@ -1,11 +1,10 @@
 // SoA lockstep driver. See batch_allocator.hpp for the contract and
-// core/batch_kernels.hpp for the kernel table the dense passes dispatch
-// through; the comments here focus on the padding invariants that let
-// the row loops run dense (no per-element lane guards) without
-// perturbing any lane's arithmetic:
+// core/batch_kernels.hpp for the dense row passes it calls; the comments
+// here focus on the padding invariants that let the row loops run dense
+// (no per-element lane guards) without perturbing any lane's arithmetic:
 //
-//   rows j >= lane_n_[k] of column k hold  x = 0, mu = 1, imu = 1,
-//   cap = +inf, du = 0  at every point where a dense loop reads them.
+//   rows j >= lane_n_[k] of column k hold  x = 0, mu = 1, cap = +inf,
+//   du = 0  at every point where a dense loop reads them.
 //
 // Consequences, each load-bearing for bit-identity:
 //   * the derivative row loop may evaluate padding cells (a = 0, mu = 1
@@ -20,23 +19,17 @@
 //     padding cells (x = 0 with step d >= 0 against cap = +inf);
 //   * min/max spread reductions CANNOT include padding (a 0.0 would
 //     masquerade as the max of all-negative utilities), so the spread
-//     kernels guard the [n_min, n_max) tail explicitly.
+//     pass guards the [n_min, n_max) tail explicitly.
 //
-// Columns are another matter: the AVX2 kernels process whole 4-lane
-// groups, so columns in [live, round_up4(live)) — initial zero-fill or a
-// retired lane's stale values — are computed on but never read, and a
-// backfilled lane has its whole column rewritten by load_lane before it
-// goes live.
+// Columns in [live, stride) are never touched by a pass; a backfilled
+// lane has its whole column rewritten by load_lane before it goes live.
 
 #include "core/batch_allocator.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 
-#include "core/simd_dispatch.hpp"
 #include "util/contracts.hpp"
 
 namespace fap::core {
@@ -152,14 +145,9 @@ void BatchAllocator::load_lane(std::size_t lane, std::size_t instance_id) {
   const std::size_t s = soa_.stride;
   for (std::size_t j = 0; j < node_cap_; ++j) {
     const bool real = j < inst.n;
-    const double m = real ? inst.mu[j] : 1.0;
     soa_.x[j * s + lane] = real ? inst.start[j] : 0.0;
     soa_.c[j * s + lane] = real ? inst.access_cost[j] : 0.0;
-    soa_.mu[j * s + lane] = m;
-    // Cached quotient: 1/μ divides the same operands the delay-law
-    // expression would every iteration, so reusing it is bitwise
-    // reevaluation (division is deterministic).
-    soa_.imu[j * s + lane] = 1.0 / m;
+    soa_.mu[j * s + lane] = real ? inst.mu[j] : 1.0;
     soa_.cap[j * s + lane] =
         (real && !inst.caps.empty()) ? inst.caps[j] : kInf;
   }
@@ -168,7 +156,6 @@ void BatchAllocator::load_lane(std::size_t lane, std::size_t instance_id) {
   lane_maxit_[lane] = inst.max_iterations;
   lane_iter_[lane] = 0;
   lane_eps_[lane] = inst.epsilon;
-  lane_dyn_[lane] = inst.dynamic_rule ? 1 : 0;
   lane_single_[lane] =
       inst.delay.discipline() != queueing::Discipline::kMMc ? 1 : 0;
   lane_delay_[lane] = inst.delay;
@@ -177,7 +164,7 @@ void BatchAllocator::load_lane(std::size_t lane, std::size_t instance_id) {
   soa_.lane_scv[lane] = inst.delay.scv();
   soa_.lane_rho[lane] = inst.delay.rho_max();
   soa_.lane_nd[lane] = static_cast<double>(inst.n);
-  soa_.lane_dynd[lane] = inst.dynamic_rule ? 1.0 : 0.0;
+  soa_.lane_dyn[lane] = inst.dynamic_rule ? 1 : 0;
   soa_.lane_alpha_opt[lane] = inst.alpha;
   soa_.lane_safety[lane] = inst.dynamic_safety;
 }
@@ -186,12 +173,12 @@ void BatchAllocator::refresh_lane_summary() {
   std::size_t n_min = std::numeric_limits<std::size_t>::max();
   std::size_t n_max = 0;
   all_single_ = true;
-  bool any_dyn = false;
+  any_dyn_ = false;
   for (std::size_t k = 0; k < live_; ++k) {
     n_min = std::min(n_min, lane_n_[k]);
     n_max = std::max(n_max, lane_n_[k]);
     all_single_ = all_single_ && lane_single_[k] != 0;
-    any_dyn = any_dyn || lane_dyn_[k] != 0;
+    any_dyn_ = any_dyn_ || soa_.lane_dyn[k] != 0;
   }
   if (live_ == 0) {
     n_min = n_max = 0;
@@ -199,12 +186,11 @@ void BatchAllocator::refresh_lane_summary() {
   soa_.live = live_;
   soa_.n_min = n_min;
   soa_.n_max = n_max;
-  soa_.any_dyn = any_dyn;
 }
 
 void BatchAllocator::compute_derivatives() {
   if (all_single_) {
-    kernels_->derivative_rows(soa_, soa_.any_dyn);
+    detail::derivative_rows(soa_, any_dyn_);
     return;
   }
   // A multi-server lane is present: evaluate per lane through the exact
@@ -215,7 +201,7 @@ void BatchAllocator::compute_derivatives() {
     const queueing::DelayModel& delay = lane_delay_[k];
     const double tr = soa_.lane_tr[k];
     const double kk = soa_.lane_k[k];
-    const bool dyn = lane_dyn_[k] != 0;
+    const bool dyn = soa_.lane_dyn[k] != 0;
     for (std::size_t j = 0; j < lane_n_[k]; ++j) {
       const double a = tr * soa_.x[j * s + k];
       const double m = soa_.mu[j * s + k];
@@ -230,7 +216,7 @@ void BatchAllocator::compute_derivatives() {
   }
   // Restore the du padding invariant (the per-lane path left stale
   // values on padding rows).
-  kernels_->zero_du_padding(soa_);
+  detail::zero_du_padding(soa_);
 }
 
 void BatchAllocator::scalar_lane_step(std::size_t lane) {
@@ -240,7 +226,7 @@ void BatchAllocator::scalar_lane_step(std::size_t lane) {
   // the stepped column into xn.
   const std::size_t s = soa_.stride;
   const std::size_t n = lane_n_[lane];
-  const bool dynamic = lane_dyn_[lane] != 0;
+  const bool dynamic = soa_.lane_dyn[lane] != 0;
   gx_.resize(n);
   gdu_.resize(n);
   gcaps_.resize(n);
@@ -264,7 +250,7 @@ void BatchAllocator::scalar_lane_step(std::size_t lane) {
     group.total = 1.0;
   }
 
-  // soa_.alpha holds the provisional α the step_sizes kernel derived.
+  // soa_.alpha holds the provisional α the step_sizes pass derived.
   double al = soa_.alpha[lane];
   detail::active_set(group, gx_, gdu_, al, gcaps_, n, detail::UnitWeights{},
                      aset_);
@@ -322,10 +308,6 @@ void BatchAllocator::harvest(std::size_t lane,
 std::vector<BatchRunResult> BatchAllocator::run_all() {
   stats_ = Stats{};
   stats_.instances = pending_.size();
-  // Dispatch is resolved once per run: override > env > CPUID (see
-  // core/simd_dispatch.hpp). Every kernel set yields identical results.
-  kernels_ = &detail::select_batch_kernels();
-  stats_.kernels = kernels_->name;
   std::vector<BatchRunResult> results(pending_.size());
   if (pending_.empty()) {
     return results;
@@ -341,7 +323,6 @@ std::vector<BatchRunResult> BatchAllocator::run_all() {
   }
   const std::size_t stride = detail::round_up_stride(lanes_);
   soa_.stride = stride;
-  soa_.node_cap = node_cap_;
   const std::size_t cells = node_cap_ * stride;
   soa_.x.assign(cells, 0.0);
   soa_.xn.assign(cells, 0.0);
@@ -349,18 +330,15 @@ std::vector<BatchRunResult> BatchAllocator::run_all() {
   soa_.d2c.assign(cells, 0.0);
   soa_.c.assign(cells, 0.0);
   soa_.mu.assign(cells, 1.0);
-  soa_.imu.assign(cells, 1.0);
   soa_.cap.assign(cells, kInf);
-  // Lane-indexed arrays are allocated at the full stride and
-  // zero-initialized so the vector kernels' whole-group loads never see
-  // uninitialized memory in the dead columns.
   for (util::AlignedVector* v :
        {&soa_.lane_tr, &soa_.lane_k, &soa_.lane_scv, &soa_.lane_rho,
-        &soa_.lane_nd, &soa_.lane_dynd, &soa_.lane_alpha_opt,
+        &soa_.lane_nd, &soa_.lane_alpha_opt,
         &soa_.lane_safety, &soa_.sum_full, &soa_.avg_full, &soa_.alpha,
         &soa_.lo, &soa_.hi, &soa_.theta}) {
     v->assign(stride, 0.0);
   }
+  soa_.lane_dyn.assign(stride, 0);
   soa_.pinc.assign(stride, 0u);
   soa_.viol.assign(stride, 0u);
   lane_inst_.resize(lanes_);
@@ -368,21 +346,10 @@ std::vector<BatchRunResult> BatchAllocator::run_all() {
   lane_maxit_.resize(lanes_);
   lane_iter_.resize(lanes_);
   lane_eps_.resize(lanes_);
-  lane_dyn_.resize(lanes_);
   lane_single_.resize(lanes_);
   lane_delay_.resize(lanes_);
   term_.resize(lanes_);
   scalar_lane_.resize(lanes_);
-
-  // The aligned-row geometry the vector kernels rely on: 64-byte plane
-  // bases and a stride that keeps every row on a cache line.
-  assert(stride % util::kDoublesPerCacheLine == 0);
-  assert(reinterpret_cast<std::uintptr_t>(soa_.x.data()) %
-             util::kCacheLineBytes ==
-         0);
-  assert(reinterpret_cast<std::uintptr_t>(soa_.du.data()) %
-             util::kCacheLineBytes ==
-         0);
 
   std::size_t next_pending = 0;
   live_ = 0;
@@ -400,17 +367,16 @@ std::vector<BatchRunResult> BatchAllocator::run_all() {
 
     compute_derivatives();
 
-    // Dense lockstep passes through the dispatched kernel table (each
-    // documented in core/batch_kernels.hpp).
-    kernels_->lane_sums(soa_);
-    kernels_->step_sizes(soa_);
-    kernels_->census_theta(soa_);
-    kernels_->spread(soa_);
+    // Dense lockstep passes (each documented in core/batch_kernels.hpp).
+    detail::lane_sums(soa_);
+    detail::step_sizes(soa_);
+    detail::census_theta(soa_);
+    detail::spread(soa_);
 
     // Classify lanes: full-active lanes resolve termination here (their
     // θ came out of census_theta); lanes with a pinned node take the
     // gathered scalar path below, which re-derives everything — the θ
-    // the kernels computed for them is dead.
+    // the census computed for them is dead.
     for (std::size_t k = 0; k < live; ++k) {
       term_[k] = 0;
       scalar_lane_[k] = 0;
@@ -423,10 +389,10 @@ std::vector<BatchRunResult> BatchAllocator::run_all() {
       }
     }
 
-    // Vectorized apply: xn = clamp(x + θ·α·(du - avg)). Runs for every
-    // lane — terminal lanes harvest from x so their xn garbage is dead,
-    // and scalar lanes overwrite their column immediately after.
-    kernels_->apply_step(soa_);
+    // Dense apply: xn = clamp(x + θ·α·(du - avg)). Runs for every lane —
+    // terminal lanes harvest from x so their xn garbage is dead, and
+    // scalar lanes overwrite their column immediately after.
+    detail::apply_rows(soa_);
 
     for (std::size_t k = 0; k < live; ++k) {
       if (scalar_lane_[k] != 0) {
@@ -469,7 +435,6 @@ std::vector<BatchRunResult> BatchAllocator::run_all() {
             soa_.x[j * s + dst] = soa_.x[j * s + src];
             soa_.c[j * s + dst] = soa_.c[j * s + src];
             soa_.mu[j * s + dst] = soa_.mu[j * s + src];
-            soa_.imu[j * s + dst] = soa_.imu[j * s + src];
             soa_.cap[j * s + dst] = soa_.cap[j * s + src];
           }
           lane_inst_[dst] = lane_inst_[src];
@@ -477,7 +442,6 @@ std::vector<BatchRunResult> BatchAllocator::run_all() {
           lane_maxit_[dst] = lane_maxit_[src];
           lane_iter_[dst] = lane_iter_[src];
           lane_eps_[dst] = lane_eps_[src];
-          lane_dyn_[dst] = lane_dyn_[src];
           lane_single_[dst] = lane_single_[src];
           lane_delay_[dst] = lane_delay_[src];
           soa_.lane_tr[dst] = soa_.lane_tr[src];
@@ -485,7 +449,7 @@ std::vector<BatchRunResult> BatchAllocator::run_all() {
           soa_.lane_scv[dst] = soa_.lane_scv[src];
           soa_.lane_rho[dst] = soa_.lane_rho[src];
           soa_.lane_nd[dst] = soa_.lane_nd[src];
-          soa_.lane_dynd[dst] = soa_.lane_dynd[src];
+          soa_.lane_dyn[dst] = soa_.lane_dyn[src];
           soa_.lane_alpha_opt[dst] = soa_.lane_alpha_opt[src];
           soa_.lane_safety[dst] = soa_.lane_safety[src];
         }

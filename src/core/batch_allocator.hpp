@@ -9,13 +9,9 @@
 // laid out [node][lane] (lane = instance) so the delay-law and utility
 // arithmetic of one node row vectorizes across the batch dimension.
 //
-// The dense passes of the lockstep iteration live behind the
-// core/batch_kernels.hpp function table: a portable scalar set (the
-// loops this class always had) and a hand-vectorized AVX2 set, selected
-// at runtime by core/simd_dispatch (CPUID, overridable via
-// FAP_FORCE_SCALAR_KERNELS or force_simd_level). The two sets are
-// bitwise equivalent — see batch_kernels.hpp for the argument — so
-// dispatch is purely a speed decision.
+// The dense passes of the lockstep iteration are the plain row loops in
+// core/batch_kernels.cpp; -O3 lets the compiler vectorize them across
+// lanes.
 //
 // Bit-identity contract: lanes are independent instances, so no
 // cross-lane reduction exists anywhere — each lane executes exactly the
@@ -27,8 +23,7 @@
 // contraction can perturb a rounding. Consequently run_all() returns
 // results (x, cost, converged, iterations) bitwise equal to running each
 // submission through ResourceDirectedAllocator serially — pinned across
-// randomized instances by core_batch_allocator_test, which also pins the
-// AVX2 and scalar kernel sets against each other.
+// randomized instances by core_batch_allocator_test.
 //
 // Lane lifecycle: submissions queue in submit() order; run_all() loads
 // the first `width` of them into lanes and iterates. A lane retires when
@@ -38,7 +33,7 @@
 // vector loops stay dense.
 //
 // Supported models: SingleFileModel (any delay discipline; single-server
-// disciplines take the vectorized derivative path, M/M/c lanes fall back
+// disciplines take the dense derivative pass, M/M/c lanes fall back
 // to per-lane scalar evaluation), fixed or dynamic step rule, optional
 // storage capacities. Trace recording is not supported (use the serial
 // allocator for that).
@@ -67,9 +62,10 @@ struct BatchRunResult {
 
 class BatchAllocator {
  public:
-  /// Default lane count: wide enough to fill AVX-512 registers many times
-  /// over and amortize per-iteration lane bookkeeping, small enough that
-  /// the SoA planes of typical (n <= 64) problems stay cache-resident.
+  /// Default lane count: wide enough to give each row loop a long
+  /// stride-1 run and amortize per-iteration lane bookkeeping, small
+  /// enough that the SoA planes of typical (n <= 64) problems stay
+  /// cache-resident.
   static constexpr std::size_t kDefaultWidth = 64;
 
   explicit BatchAllocator(std::size_t width = kDefaultWidth);
@@ -123,8 +119,8 @@ class BatchAllocator {
     std::size_t instances = 0;
     /// Lockstep iterations executed (each steps every live lane once).
     std::size_t lockstep_iterations = 0;
-    /// Name of the kernel set the run dispatched to ("scalar"/"avx2").
-    const char* kernels = "";
+    /// Name of the row-pass set; there is one, so always "scalar".
+    const char* kernels = "scalar";
   };
   const Stats& stats() const noexcept { return stats_; }
 
@@ -160,25 +156,25 @@ class BatchAllocator {
   Stats stats_;
 
   // --- run_all() state. The planes, lane constants and per-iteration
-  // outputs the kernels touch live in soa_ (row-major [node][lane],
+  // outputs the row passes touch live in soa_ (row-major [node][lane],
   // 64-byte-aligned rows, stride = lanes_ rounded up to 8 — see
   // core/batch_kernels.hpp); what follows is the bookkeeping only the
-  // driver needs. Padding rows (j >= lane n) hold x = 0, mu = 1, imu = 1,
+  // driver needs. Padding rows (j >= lane n) hold x = 0, mu = 1,
   // cap = +inf, du = 0 so the dense row loops never need per-element
   // guards (see the padding invariants in batch_allocator.cpp).
   detail::BatchSoA soa_;
-  const detail::BatchKernels* kernels_ = nullptr;
   std::size_t lanes_ = 0;       ///< columns occupied at full width
   std::size_t live_ = 0;        ///< columns currently occupied (prefix)
   std::size_t node_cap_ = 0;    ///< plane row count
   std::vector<std::size_t> lane_inst_, lane_n_, lane_maxit_, lane_iter_;
   std::vector<double> lane_eps_;
-  std::vector<unsigned char> lane_dyn_, lane_single_;
+  std::vector<unsigned char> lane_single_;
   std::vector<queueing::DelayModel> lane_delay_;
   std::vector<unsigned char> term_, scalar_lane_;
-  // Lane summary, refreshed when lane membership changes (n_min / n_max /
-  // any_dyn live in soa_ where the kernels read them).
+  // Lane summary, refreshed when lane membership changes (n_min / n_max
+  // live in soa_ where the row passes read them).
   bool all_single_ = true;
+  bool any_dyn_ = false;
   // Scalar-tail scratch (boundary lanes).
   std::vector<double> gx_, gdu_, gd2c_, gcaps_, deltas_;
   detail::ActiveSetWorkspace aset_;

@@ -1,10 +1,9 @@
-// Portable batch kernels: the BatchAllocator row loops as they existed
-// before SIMD dispatch, moved here verbatim and re-pointed at BatchSoA.
+// The BatchAllocator row passes over BatchSoA (core/batch_kernels.hpp).
 // This TU is compiled -O3 -ffp-contract=off (src/CMakeLists.txt): -O3 so
-// GCC's autovectorizer takes the division-heavy stride-1 row loops, and
-// contraction off so no FMA can perturb a rounding — these loops are the
-// reference operation sequence BOTH the serial-equivalence pin and the
-// AVX2-equivalence pin are measured against.
+// GCC's autovectorizer takes the stride-1 row loops, and contraction off
+// so no FMA can perturb a rounding — each lane must execute exactly the
+// serial allocator's operation sequence, which core_batch_allocator_test
+// pins bitwise.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -19,8 +18,30 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-void zero_du_padding(BatchSoA& soa) {
+// The serial second-pass θ loop over a full active set (all nodes).
+double scalar_theta(const BatchSoA& soa, std::size_t lane) {
   const std::size_t s = soa.stride;
+  const auto n = static_cast<std::size_t>(soa.lane_nd[lane]);
+  const double al = soa.alpha[lane];
+  const double avg = soa.avg_full[lane];
+  double theta = 1.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double d = al * (soa.du[j * s + lane] - avg);
+    const double xj = soa.x[j * s + lane];
+    if (d < 0.0 && xj + d < 0.0) {
+      theta = std::min(theta, xj / -d);
+    }
+    const double cp = soa.cap[j * s + lane];
+    if (d > 0.0 && xj + d > cp) {
+      theta = std::min(theta, (cp - xj) / d);
+    }
+  }
+  return std::max(theta, 0.0);
+}
+
+}  // namespace
+
+void zero_du_padding(BatchSoA& soa) {
   for (std::size_t j = soa.n_min; j < soa.n_max; ++j) {
     double* dur = soa.row(soa.du, j);
     for (std::size_t k = 0; k < soa.live; ++k) {
@@ -29,11 +50,9 @@ void zero_du_padding(BatchSoA& soa) {
       }
     }
   }
-  (void)s;
 }
 
 void derivative_rows(BatchSoA& soa, bool with_second) {
-  const std::size_t s = soa.stride;
   const std::size_t live = soa.live;
   // Identical per-cell expression sequence as SingleFileModel::
   // gradient_into + marginal_utilities_into's negation (the lin_*
@@ -78,7 +97,6 @@ void derivative_rows(BatchSoA& soa, bool with_second) {
   // Restore the du padding invariant (the dense loop computed garbage on
   // padding cells).
   zero_du_padding(soa);
-  (void)s;
 }
 
 void lane_sums(BatchSoA& soa) {
@@ -103,7 +121,7 @@ void step_sizes(BatchSoA& soa) {
   // Provisional per-lane step size (the serial first-pass α: fixed, or
   // the dynamic Theorem-2 bound over the whole group).
   for (std::size_t k = 0; k < soa.live; ++k) {
-    if (soa.lane_dynd[k] == 0.0) {
+    if (soa.lane_dyn[k] == 0) {
       soa.alpha[k] = soa.lane_alpha_opt[k];
       continue;
     }
@@ -120,27 +138,6 @@ void step_sizes(BatchSoA& soa) {
                                             : 2.0 * numerator / denominator;
     soa.alpha[k] = soa.lane_safety[k] * bound;
   }
-}
-
-// The serial second-pass θ loop over a full active set (all nodes).
-double scalar_theta(const BatchSoA& soa, std::size_t lane) {
-  const std::size_t s = soa.stride;
-  const auto n = static_cast<std::size_t>(soa.lane_nd[lane]);
-  const double al = soa.alpha[lane];
-  const double avg = soa.avg_full[lane];
-  double theta = 1.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double d = al * (soa.du[j * s + lane] - avg);
-    const double xj = soa.x[j * s + lane];
-    if (d < 0.0 && xj + d < 0.0) {
-      theta = std::min(theta, xj / -d);
-    }
-    const double cp = soa.cap[j * s + lane];
-    if (d > 0.0 && xj + d > cp) {
-      theta = std::min(theta, (cp - xj) / d);
-    }
-  }
-  return std::max(theta, 0.0);
 }
 
 void census_theta(BatchSoA& soa) {
@@ -203,9 +200,9 @@ void spread(BatchSoA& soa) {
   }
 }
 
-void apply_step(BatchSoA& soa) {
+void apply_rows(BatchSoA& soa) {
   const std::size_t live = soa.live;
-  // Vectorized apply: xn = clamp(x + θ·α·(du - avg)). Runs for every
+  // Dense apply: xn = clamp(x + θ·α·(du - avg)). Runs for every
   // lane — terminal lanes harvest from x so their xn garbage is dead,
   // and pinned lanes overwrite their column immediately after.
   for (std::size_t j = 0; j < soa.n_max; ++j) {
@@ -231,16 +228,6 @@ void apply_step(BatchSoA& soa) {
       }
     }
   }
-}
-
-}  // namespace
-
-const BatchKernels& scalar_batch_kernels() {
-  static constexpr BatchKernels kTable = {
-      "scalar",     &derivative_rows, &zero_du_padding, &lane_sums,
-      &step_sizes,  &census_theta,    &spread,          &apply_step,
-  };
-  return kTable;
 }
 
 }  // namespace fap::core::detail

@@ -113,11 +113,12 @@ JointRoutingResult JointRoutingOptimizer::run(
     net::CostMatrix comm = net::all_pairs_shortest_paths(effective);
 
     // 2. Allocate under the induced c_ji.
-    SingleFileProblem sub{comm, problem_.workload.lambda, problem_.mu,
-                          problem_.k, problem_.delay,
-                          {},
-                          {},
-                          {}};
+    SingleFileProblem sub;
+    sub.comm = comm;
+    sub.lambda = problem_.workload.lambda;
+    sub.mu = problem_.mu;
+    sub.k = problem_.k;
+    sub.delay = problem_.delay;
     const SingleFileModel model(std::move(sub));
     const ResourceDirectedAllocator allocator(model, options_.allocator);
     const AllocationResult inner = allocator.run(result.x);

@@ -50,15 +50,12 @@ SingleFileProblem make_problem(const net::Topology& topology,
                                queueing::DelayModel delay) {
   FAP_EXPECTS(workload.lambda.size() == topology.node_count(),
               "workload size must match node count");
-  SingleFileProblem problem{
-      net::all_pairs_shortest_paths(topology),
-      workload.lambda,
-      std::vector<double>(topology.node_count(), mu),
-      k,
-      delay,
-      {},
-      {},
-      {}};
+  SingleFileProblem problem;
+  problem.comm = net::all_pairs_shortest_paths(topology);
+  problem.lambda = workload.lambda;
+  problem.mu.assign(topology.node_count(), mu);
+  problem.k = k;
+  problem.delay = delay;
   return problem;
 }
 
@@ -68,15 +65,12 @@ SingleFileProblem make_problem(const net::Topology& topology,
                                queueing::DelayModel delay) {
   FAP_EXPECTS(workload.lambda.size() == topology.node_count(),
               "workload size must match node count");
-  SingleFileProblem problem{
-      *cache.get(topology),
-      workload.lambda,
-      std::vector<double>(topology.node_count(), mu),
-      k,
-      delay,
-      {},
-      {},
-      {}};
+  SingleFileProblem problem;
+  problem.comm = *cache.get(topology);
+  problem.lambda = workload.lambda;
+  problem.mu.assign(topology.node_count(), mu);
+  problem.k = k;
+  problem.delay = delay;
   return problem;
 }
 

@@ -55,7 +55,9 @@ struct QueryUpdateWorkload {
 
 /// Full problem description for the single-copy single-file FAP.
 struct SingleFileProblem {
-  net::CostMatrix comm;           ///< c_ij: least-cost access i -> j
+  /// c_ij: least-cost access i -> j (empty until assigned, so the
+  /// problem can be built field by field).
+  net::CostMatrix comm = net::CostMatrix(0);
   std::vector<double> lambda;     ///< per-node access rates λ_i
   std::vector<double> mu;         ///< per-node service rates μ_i
   double k = 1.0;                 ///< delay-vs-communication scaling

@@ -300,9 +300,12 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
   // and workload mix, then deploy it as a contiguous layout whose
   // per-node POPULARITY mass matches the solution shares.
   {
-    core::SingleFileProblem problem{
-        comm_, lambda_, std::vector<double>(n_, options_.mu), options_.k,
-        queueing::DelayModel::mm1(kRhoMax)};
+    core::SingleFileProblem problem;
+    problem.comm = comm_;
+    problem.lambda = lambda_;
+    problem.mu.assign(n_, options_.mu);
+    problem.k = options_.k;
+    problem.delay = queueing::DelayModel::mm1(kRhoMax);
     const core::SingleFileModel model(problem);
     const core::ResourceDirectedAllocator allocator(model,
                                                     options_.allocator);

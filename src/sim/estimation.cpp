@@ -61,11 +61,12 @@ core::SingleFileProblem problem_from_estimates(
   FAP_EXPECTS(estimates.lambda.size() == comm.node_count(),
               "estimate / cost-matrix size mismatch");
   FAP_EXPECTS(fallback_mu > 0.0, "fallback service rate must be positive");
-  core::SingleFileProblem problem{comm, estimates.lambda, estimates.mu, k,
-                                  delay,
-                                  {},
-                                  {},
-                                  {}};
+  core::SingleFileProblem problem;
+  problem.comm = comm;
+  problem.lambda = estimates.lambda;
+  problem.mu = estimates.mu;
+  problem.k = k;
+  problem.delay = delay;
   for (std::size_t i = 0; i < problem.mu.size(); ++i) {
     if (!estimates.mu_observed[i] || problem.mu[i] <= 0.0) {
       problem.mu[i] = fallback_mu;

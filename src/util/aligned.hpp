@@ -1,12 +1,10 @@
 // Cache-line-aligned storage for the SoA batch kernels.
 //
 // The batched allocator lays per-node quantities out as [node][lane]
-// planes and the AVX2 kernels load 32-byte vectors from every row, so
-// plane rows must start on (at least) 32-byte boundaries. We align to a
-// full 64-byte cache line: together with a lane stride rounded up to
-// kDoublesPerCacheLine this makes EVERY row of every plane 64-byte
-// aligned, which lets the vector loops use aligned loads/stores and
-// never touch a cache line they don't own.
+// planes. Aligning to a 64-byte cache line, together with a lane stride
+// rounded up to kDoublesPerCacheLine, makes EVERY row of every plane
+// start on a cache line, so the vectorized row loops never split a
+// vector across two lines.
 #pragma once
 
 #include <cstddef>

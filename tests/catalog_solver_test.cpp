@@ -32,6 +32,7 @@
 #include "catalog/catalog_spec.hpp"
 #include "core/allocator.hpp"
 #include "core/single_file.hpp"
+#include "net/cost_cache.hpp"
 #include "net/cost_provider.hpp"
 #include "net/generators.hpp"
 #include "net/hierarchy.hpp"
@@ -431,6 +432,25 @@ TEST(CatalogSpecTest, ProviderOverloadValidatesNodeCount) {
       make_synthetic_catalog(synth, 3,
                              std::make_shared<fap::net::RowCostProvider>(ring)),
       PreconditionError);
+}
+
+// The topology-generating overloads build a random metric, which needs
+// two nodes; both reject a smaller network with the catalog's own
+// message rather than the generator's.
+TEST(CatalogSpecTest, SyntheticMetricNetworkNeedsTwoNodes) {
+  SyntheticCatalogOptions synth;
+  synth.objects = 8;
+  for (const std::size_t nodes : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE("nodes " + std::to_string(nodes));
+    synth.nodes = nodes;
+    expect_precondition([&] { make_synthetic_catalog(synth, 3); },
+                        "random-metric network needs at least two nodes");
+    fap::net::CostMatrixCache cache;
+    expect_precondition([&] { make_synthetic_catalog(synth, 3, cache); },
+                        "random-metric network needs at least two nodes");
+  }
+  synth.nodes = 2;
+  EXPECT_EQ(make_synthetic_catalog(synth, 3).node_count(), 2u);
 }
 
 TEST(CatalogSolver, ValidatesSpecAndOptions) {

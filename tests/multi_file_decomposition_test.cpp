@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "baselines/projected_gradient.hpp"
 #include "core/allocator.hpp"
@@ -48,12 +49,12 @@ Scenario make_setup(double k, std::uint64_t seed) {
   const double mu = total * 1.6;
   setup.joint.mu.assign(5, mu);
   for (int f = 0; f < 2; ++f) {
-    setup.separate.push_back(core::SingleFileProblem{
-        comm, setup.joint.per_file_lambda[static_cast<std::size_t>(f)],
-        std::vector<double>(5, mu), k, fap::queueing::DelayModel(),
-        {},
-        {},
-        {}});
+    core::SingleFileProblem problem;
+    problem.comm = comm;
+    problem.lambda = setup.joint.per_file_lambda[static_cast<std::size_t>(f)];
+    problem.mu.assign(5, mu);
+    problem.k = k;
+    setup.separate.push_back(std::move(problem));
   }
   return setup;
 }

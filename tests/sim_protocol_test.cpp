@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/allocator.hpp"
 #include "core/ring_model.hpp"
 #include "core/single_file.hpp"
@@ -106,8 +108,11 @@ TEST(Protocol, SingleNodeRunConvergesWithZeroMessages) {
   // measure): the whole file sits on the only node, the protocol
   // detects termination in its first round, and — after the accounting
   // fix — reports zero traffic of any kind.
-  const core::SingleFileModel model(
-      core::SingleFileProblem{net::CostMatrix(1), {1.0}, {1.5}});
+  core::SingleFileProblem problem;
+  problem.comm = net::CostMatrix(1);
+  problem.lambda = {1.0};
+  problem.mu = {1.5};
+  const core::SingleFileModel model(std::move(problem));
   sim::ProtocolConfig config;
   config.needs_full_allocation = true;
   config.algorithm = paper_options();
