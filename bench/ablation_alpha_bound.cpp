@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
   };
 
   // Empirically fastest fixed α via grid search. The 60 probes are
-  // independent runs on the same model, so they step as one SoA batch —
-  // trace-free, which does not perturb the score (iteration counts are
-  // unaffected by tracing); the winning α is re-run serially with its
+  // independent runs on the same model, so they run as one BatchAllocator
+  // queue — trace-free, which does not perturb the score (iteration counts
+  // are unaffected by tracing); the winning α is re-run serially with its
   // trace for the table below.
   const std::vector<double> grid_alphas = util::grid_points(0.02, 1.2, 60);
   std::vector<double> grid_scores;

@@ -35,8 +35,9 @@ int main(int argc, char** argv) {
           .run({0.8, 0.1, 0.1, 0.0})
           .cost;
   // Every cap is an independent constrained problem: pack them into one
-  // SoA batch through batch_sweep (order and output independent of
-  // --jobs AND batch width; lanes are bit-identical to serial runs). The
+  // BatchAllocator queue through batch_sweep (order and output
+  // independent of --jobs AND batch width; each result is bit-identical
+  // to a serial run). The
   // per-cap models share the ring's APSP through the cost cache.
   const std::vector<double> caps{0.25, 0.2, 0.15, 0.1, 0.05, 0.01};
   net::CostMatrixCache cache;

@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
   }
 
   // The first-order runs are independent gradient descents (one model per
-  // lane — the batch kernel supports heterogeneous lanes), so they step as
-  // one SoA batch, bit-identical to the serial loop they replace.
+  // instance), so they run as one BatchAllocator queue, bit-identical to
+  // the serial loop they replace.
   core::BatchAllocator scale_batch;
   for (std::size_t i = 0; i < scales.size(); ++i) {
     core::AllocatorOptions first;
@@ -62,8 +62,9 @@ int main(int argc, char** argv) {
   const std::vector<core::BatchRunResult> scale_first =
       scale_batch.run_all();
 
-  // The Newton runs have no batched kernel; fan them out through the
-  // runtime instead (order and output independent of --jobs).
+  // BatchAllocator runs only the first-order loop; fan the Newton runs
+  // out through the runtime instead (order and output independent of
+  // --jobs).
   const std::vector<core::AllocationResult> scale_second = runtime::sweep(
       scales.size(), bench::sweep_options("ablation_newton"),
       [&](std::size_t i, std::uint64_t /*seed*/) {

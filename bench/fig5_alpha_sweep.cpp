@@ -6,8 +6,9 @@
 // convergence speeds".
 //
 // The 45 α points are independent allocator runs on the same model, so
-// they go through runtime::batch_sweep + core::BatchAllocator: the whole
-// sweep steps in SoA lockstep (bit-identical to the serial allocator),
+// they go through runtime::batch_sweep + core::BatchAllocator: each batch
+// runs its α points through the shared §5.2 loop (bit-identical to the
+// serial allocator),
 // `--jobs N` distributes whole batches, and each task's model is built
 // through a shared net::CostMatrixCache — 1 APSP miss, 44 hits (visible
 // under --metrics as cost_cache_hit/cost_cache_miss).

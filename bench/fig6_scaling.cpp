@@ -20,9 +20,9 @@
 // Each N is an independent problem (its own topology, model and α grid
 // search), so the sweep runs through runtime::sweep: `--jobs 8` fills
 // eight cores and prints byte-identical output to `--jobs 1`. Within a
-// point, the α grid search is ONE core::BatchAllocator batch (every α a
-// lane, bit-identical to serial runs), and the winning lane's result is
-// reused for the reported row instead of a re-run.
+// point, the α grid search is ONE core::BatchAllocator queue (one
+// instance per α, each bit-identical to a serial run), and the winning
+// instance's result is reused for the reported row instead of a re-run.
 #include <algorithm>
 #include <iostream>
 #include <memory>
@@ -137,12 +137,12 @@ ScalingPoint measure_scaling_point(const fap::core::SingleFileModel& model,
   start[2] = 0.1;
 
   // Best α per N via a grid search (the paper: "using the best possible
-  // α"), run as one SoA batch: one lane per α candidate. A lane that
-  // fails to converge gets a large penalty, keeping the search away from
-  // divergent settings. grid_select applies grid_minimize's exact tie
-  // rule, so the chosen α is the one the serial search would pick — and
-  // its lane's result IS the serial rerun's result (bit-identical), so
-  // the reported row reuses it directly.
+  // α"), run as one BatchAllocator queue: one instance per α candidate.
+  // An instance that fails to converge gets a large penalty, keeping the
+  // search away from divergent settings. grid_select applies
+  // grid_minimize's exact tie rule, so the chosen α is the one the serial
+  // search would pick — and its result IS the serial rerun's result
+  // (bit-identical), so the reported row reuses it directly.
   const std::vector<double> alphas = util::grid_points(0.05, 1.2, alpha_points);
   core::BatchAllocator batch;
   for (const double alpha : alphas) {

@@ -4,7 +4,6 @@
 // algorithm can run "in the background" (Section 5.3).
 #include <benchmark/benchmark.h>
 
-#include <limits>
 #include <map>
 
 #include "baselines/branch_and_bound.hpp"
@@ -12,7 +11,6 @@
 #include "catalog/catalog_spec.hpp"
 #include "core/allocator.hpp"
 #include "core/batch_allocator.hpp"
-#include "core/batch_kernels.hpp"
 #include "core/ring_model.hpp"
 #include "core/single_file.hpp"
 #include "core/trace_export.hpp"
@@ -182,10 +180,11 @@ std::vector<double> step_bench_start(std::size_t lane) {
   return x;
 }
 
-// The SoA lockstep kernel: submit `lanes` instances, run them to the
-// iteration cap as one batch. Construction and submission copies sit
-// inside the timing loop — they are part of the price of batching and are
-// amortized over lanes * 100 steps, exactly as in the sweep pipeline.
+// BatchAllocator: submit `lanes` instances and run the queue, each to the
+// iteration cap, through the shared §5.2 loop. Construction and
+// submission copies sit inside the timing loop — they are part of the
+// price of queueing and are amortized over lanes * 100 steps, exactly as
+// in the sweep pipeline.
 void BM_BatchAllocatorStep(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   const core::SingleFileModel& model = cached_model(kStepBenchNodes);
@@ -205,7 +204,8 @@ BENCHMARK(BM_BatchAllocatorStep)->Arg(8)->Arg(64)->Arg(256);
 // The serial mirror: the same instances, one ResourceDirectedAllocator
 // run() each (run() is the production serial path — an in-place
 // step_into loop). Compare items/sec against BM_BatchAllocatorStep at
-// equal lane count for the aggregate speedup of batching.
+// equal lane count: the same bits, without the serial path's per-step
+// feasibility check and full marginal refresh.
 void BM_SerialAllocatorStep(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   const core::SingleFileModel& model = cached_model(kStepBenchNodes);
@@ -221,87 +221,6 @@ void BM_SerialAllocatorStep(benchmark::State& state) {
                           static_cast<int64_t>(kStepBenchIterations));
 }
 BENCHMARK(BM_SerialAllocatorStep)->Arg(8)->Arg(64)->Arg(256);
-
-// --- Isolated kernel benchmarks: the dense SoA passes without the
-// lockstep driver around them, so kernel-level regressions are visible
-// separately from submit/retire bookkeeping. The
-// synthetic plane mirrors the BM_BatchAllocatorStep population: n = 16
-// single-server rows, per-lane step sizes, fixed step rule.
-core::detail::BatchSoA make_kernel_bench_soa(std::size_t lanes) {
-  core::detail::BatchSoA soa;
-  const std::size_t stride = core::detail::round_up_stride(lanes);
-  soa.stride = stride;
-  soa.live = lanes;
-  soa.n_min = kStepBenchNodes;
-  soa.n_max = kStepBenchNodes;
-  const std::size_t cells = kStepBenchNodes * stride;
-  soa.x.assign(cells, 0.0);
-  soa.xn.assign(cells, 0.0);
-  soa.du.assign(cells, 0.0);
-  soa.d2c.assign(cells, 0.0);
-  soa.c.assign(cells, 0.0);
-  soa.mu.assign(cells, 1.0);
-  soa.cap.assign(cells, std::numeric_limits<double>::infinity());
-  for (util::AlignedVector* v :
-       {&soa.lane_tr, &soa.lane_k, &soa.lane_scv, &soa.lane_rho,
-        &soa.lane_nd, &soa.lane_alpha_opt,
-        &soa.lane_safety, &soa.sum_full, &soa.avg_full, &soa.alpha,
-        &soa.lo, &soa.hi, &soa.theta}) {
-    v->assign(stride, 0.0);
-  }
-  soa.lane_dyn.assign(stride, 0);
-  soa.pinc.assign(stride, 0u);
-  soa.viol.assign(stride, 0u);
-  for (std::size_t k = 0; k < lanes; ++k) {
-    const std::vector<double> start = step_bench_start(k);
-    for (std::size_t j = 0; j < kStepBenchNodes; ++j) {
-      soa.x[j * stride + k] = start[j];
-      soa.c[j * stride + k] = 0.5 + 0.1 * static_cast<double>(j % 5);
-      soa.mu[j * stride + k] = 1.5;
-    }
-    soa.lane_tr[k] = 1.0;
-    soa.lane_k[k] = 1.0;
-    soa.lane_scv[k] = 1.0;
-    soa.lane_rho[k] = 1.0;
-    soa.lane_nd[k] = static_cast<double>(kStepBenchNodes);
-    soa.lane_alpha_opt[k] = step_bench_options(k).alpha;
-    soa.lane_safety[k] = 1.0;
-  }
-  return soa;
-}
-
-// One delay-law + marginal-utility row sweep (the division-heavy pass).
-// items = lane-cells evaluated.
-void BM_BatchKernelGradient(benchmark::State& state) {
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  core::detail::BatchSoA soa = make_kernel_bench_soa(lanes);
-  for (auto _ : state) {
-    core::detail::derivative_rows(soa, /*with_second=*/false);
-    benchmark::DoNotOptimize(soa.du.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(lanes) *
-                          static_cast<int64_t>(kStepBenchNodes));
-}
-BENCHMARK(BM_BatchKernelGradient)->Arg(64)->Arg(256);
-
-// The census + θ + clamp-apply passes (the step's boundary logic).
-// items = lane-steps applied.
-void BM_BatchKernelStep(benchmark::State& state) {
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  core::detail::BatchSoA soa = make_kernel_bench_soa(lanes);
-  core::detail::derivative_rows(soa, /*with_second=*/false);
-  core::detail::lane_sums(soa);
-  core::detail::step_sizes(soa);
-  for (auto _ : state) {
-    core::detail::census_theta(soa);
-    core::detail::apply_rows(soa);
-    benchmark::DoNotOptimize(soa.xn.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(lanes));
-}
-BENCHMARK(BM_BatchKernelStep)->Arg(64)->Arg(256);
 
 void BM_FullConvergence(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "core/active_set.hpp"
+#include "core/single_file_loop.hpp"
 #include "runtime/sweep.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
@@ -48,12 +48,8 @@ CatalogSolver::CatalogSolver(const CatalogSpec& spec, CatalogOptions options)
     }
   }
 
-  k_t0_.resize(n);
-  two_dt0_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    k_t0_[i] = spec_.k * spec_.delay.sojourn(0.0, spec_.mu[i]);
-    two_dt0_[i] = 2.0 * spec_.delay.d_sojourn(0.0, spec_.mu[i]);
-  }
+  core::detail::zero_load_tables(n, spec_.k, spec_.delay, spec_.mu.data(),
+                                 k_t0_, two_dt0_);
 
   if (options_.auto_price_scale) {
     // A price must be comparable, through v_o·p_i, to the cost spread an
@@ -135,104 +131,42 @@ std::vector<double> CatalogSolver::object_start(
 /// One sweep task's scratch, sized to the node count and reused by every
 /// object of the task.
 struct CatalogSolver::InnerScratch {
-  explicit InnerScratch(std::size_t n)
-      : access(n), x(n), du(n), d2c(n) {
-    group.indices.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      group.indices[i] = i;
-    }
-    group.total = 1.0;
-  }
+  explicit InnerScratch(std::size_t n) : access(n) { loop.x.resize(n); }
 
   std::vector<double> access;  ///< priced C_i^o
-  std::vector<double> x;
-  std::vector<double> du;      ///< marginal utilities at x
-  std::vector<double> d2c;     ///< curvatures at x (kDynamic only)
-  std::vector<double> deltas;  ///< apply_step scratch
+  core::detail::SingleFileScratch loop;
   const std::vector<double> no_caps;  ///< objects have no storage caps
-  core::ConstraintGroup group;        ///< Σ_i x_i = 1 over every node
-  core::detail::ActiveSetWorkspace aset;
 };
 
 CatalogSolver::ObjectAllocation CatalogSolver::solve_object(
     std::size_t o, const std::vector<double>& prices,
     InnerScratch& s) const {
-  // ResourceDirectedAllocator::run on the object's SingleFileModel, with
-  // the same expressions in the same order: marginals → set A →
-  // spread → θ-scaled step, until ε or the iteration cap.
+  // ResourceDirectedAllocator::run on the object's SingleFileModel,
+  // from the point mass on start_node, through core's shared §5.2 loop.
   const std::size_t n = spec_.node_count();
-  const core::AllocatorOptions& inner = options_.inner;
-  const bool dynamic = inner.step_rule == core::StepRule::kDynamic;
-  const double rate = spec_.rate[o];
-  const double k = spec_.k;
-  const double rate_k = rate * k;
-  const queueing::DelayModel& delay = spec_.delay;
-
-  // The marginal utility (and curvature) of node i at s.x[i], as
-  // SingleFileModel computes them. A node holding no share has
-  // a = λ·0 = +0, where a·T'(a) and a·T''(a) are +0 and the model's
-  // expressions reduce bit for bit to the zero-load tables — so only
-  // support nodes evaluate the delay law.
-  const auto refresh = [&](std::size_t i) {
-    const double xi = s.x[i];
-    if (xi == 0.0) {
-      s.du[i] = -(s.access[i] + k_t0_[i]);
-      if (dynamic) {
-        s.d2c[i] = rate_k * two_dt0_[i];
-      }
-      return;
-    }
-    const double a = rate * xi;
-    const double mu = spec_.mu[i];
-    const double dt = delay.d_sojourn(a, mu);
-    s.du[i] = -(s.access[i] + k * (delay.sojourn(a, mu) + a * dt));
-    if (dynamic) {
-      s.d2c[i] = rate_k * (2.0 * dt + a * delay.d2_sojourn(a, mu));
-    }
-  };
-
   assemble_access(o, prices, s.access.data());
-  std::fill(s.x.begin(), s.x.end(), 0.0);
-  s.x[start_node(o, s.access.data())] = 1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    refresh(i);
-  }
+  std::vector<double>& x = s.loop.x;
+  std::fill(x.begin(), x.end(), 0.0);
+  x[start_node(o, s.access.data())] = 1.0;
+
+  core::detail::SingleFileInstance inst;
+  inst.n = n;
+  inst.rate = spec_.rate[o];
+  inst.k = spec_.k;
+  inst.delay = &spec_.delay;
+  inst.access = s.access.data();
+  inst.mu = spec_.mu.data();
+  inst.k_t0 = k_t0_.data();
+  inst.two_dt0 = two_dt0_.data();
+  const core::detail::SingleFileOutcome run = core::detail::
+      run_single_file_loop(inst, s.no_caps, options_.inner, s.loop);
 
   ObjectAllocation out;
-  for (std::size_t iter = 0; iter < inner.max_iterations; ++iter) {
-    double alpha = inner.alpha;
-    if (dynamic) {
-      // Provisional α over the whole group, refined over set A.
-      alpha = inner.dynamic_safety *
-              core::detail::dynamic_alpha_bound(s.du, s.d2c,
-                                                s.group.indices, inner.alpha);
-    }
-    core::detail::active_set(s.group, s.x, s.du, alpha, s.no_caps, n,
-                             core::detail::UnitWeights{}, s.aset);
-    const std::vector<std::size_t>& active = s.aset.active;
-    if (dynamic) {
-      alpha = inner.dynamic_safety *
-              core::detail::dynamic_alpha_bound(s.du, s.d2c, active,
-                                                inner.alpha);
-    }
-    if (core::detail::marginal_spread(s.du, active) < inner.epsilon) {
-      out.converged = true;
-      break;
-    }
-    // In place: apply_step reads each entry before writing it, and only
-    // the active entries move, so only their marginals need refreshing.
-    core::detail::apply_step(active, s.x, s.du, alpha, s.no_caps,
-                             core::detail::UnitWeights{}, s.deltas, s.x);
-    for (const std::size_t i : active) {
-      refresh(i);
-    }
-    ++out.iterations;
-  }
-
+  out.iterations = static_cast<std::uint32_t>(run.iterations);
+  out.converged = run.converged;
   for (std::size_t i = 0; i < n; ++i) {
-    if (s.x[i] != 0.0) {
-      out.placements.push_back(
-          Placement{static_cast<std::uint32_t>(i), s.x[i]});
+    if (x[i] != 0.0) {
+      out.placements.push_back(Placement{static_cast<std::uint32_t>(i), x[i]});
     }
   }
   return out;

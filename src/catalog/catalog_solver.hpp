@@ -6,10 +6,10 @@
 //   2. Solve K independent single-file subproblems, object o seeing the
 //      priced access costs C_i^o + v_o p_i — object-major: each sweep
 //      task (runtime::batch_sweep over runtime::ThreadPool) runs its
-//      objects one after another through the paper's §5.2 loop on one
-//      reused set of contiguous scratch, calling core's single group
-//      step (core/active_set.hpp). Zero-share nodes read their marginal
-//      from a per-node zero-load table (DESIGN.md, catalog inner solve).
+//      objects one after another through core's shared §5.2 loop
+//      (core/single_file_loop.hpp) on one reused set of contiguous
+//      scratch. Zero-share nodes read their marginal from a per-node
+//      zero-load table built once here (DESIGN.md, catalog inner solve).
 //   3. Account the resulting node loads Σ_o v_o x_i^o (compensated
 //      summation in canonical object order) and let the price loop step;
 //      repeat from 2 until the relative overload is within tolerance or
@@ -172,7 +172,7 @@ class CatalogSolver {
   struct InnerScratch;
 
   /// Object o's inner solve at `prices`: the serial allocator's run()
-  /// sequence on `scratch`.
+  /// sequence, through core's shared §5.2 loop on `scratch`.
   ObjectAllocation solve_object(std::size_t o,
                                 const std::vector<double>& prices,
                                 InnerScratch& scratch) const;

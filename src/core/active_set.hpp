@@ -1,13 +1,13 @@
 // The Section 5.2 group step — the one implementation every allocator
 // that runs Heal's resource-directed procedure shares:
 //   * ResourceDirectedAllocator::step_into (unit weights, §5.2);
-//   * BatchAllocator::scalar_lane_step (unit weights, on a lane gathered
-//     into contiguous scratch) — running the *same compiled code* as the
-//     serial allocator is what keeps the batch path decision-identical
-//     (and therefore bit-identical) to it;
+//   * run_single_file_loop (core/single_file_loop.hpp: unit weights, one
+//     Σx=1 group, optional caps, in place on caller scratch), which runs
+//     BatchAllocator's queued instances and the catalog's per-object
+//     inner solves — running the *same compiled code* as the serial
+//     allocator is what keeps both decision-identical (and therefore
+//     bit-identical) to it;
 //   * NewtonAllocator::step (inverse-curvature weights, §8.2);
-//   * catalog::CatalogSolver's per-object inner solves (unit weights,
-//     one group, no caps, in place on per-task scratch);
 //   * econ::resource_directed_plan (unit weights, one group, no caps).
 //
 // A group step has three parts: set A (active_set), the dynamic-α bound

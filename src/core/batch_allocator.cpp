@@ -1,44 +1,12 @@
-// SoA lockstep driver. See batch_allocator.hpp for the contract and
-// core/batch_kernels.hpp for the dense row passes it calls; the comments
-// here focus on the padding invariants that let the row loops run dense
-// (no per-element lane guards) without perturbing any lane's arithmetic:
-//
-//   rows j >= lane_n_[k] of column k hold  x = 0, mu = 1, cap = +inf,
-//   du = 0  at every point where a dense loop reads them.
-//
-// Consequences, each load-bearing for bit-identity:
-//   * the derivative row loop may evaluate padding cells (a = 0, mu = 1
-//     is well inside every stability region — no traps, no NaNs); the
-//     results are zeroed by a tail pass before anyone reads du;
-//   * the lane sum Σ_j du[j][k] sees the real values first (rows are
-//     ordered) and then adds +0.0 terms, which cannot change a partial
-//     sum s except for s = -0.0 — and a -0.0 sum implies every du is
-//     ±0.0, in which case the lane's spread is 0, it terminates without
-//     stepping, and the sign never reaches an observable value;
-//   * the pinned/violation row predicates are identically false on
-//     padding cells (x = 0 with step d >= 0 against cap = +inf);
-//   * min/max spread reductions CANNOT include padding (a 0.0 would
-//     masquerade as the max of all-negative utilities), so the spread
-//     pass guards the [n_min, n_max) tail explicitly.
-//
-// Columns in [live, stride) are never touched by a pass; a backfilled
-// lane has its whole column rewritten by load_lane before it goes live.
-
 #include "core/batch_allocator.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
+#include "core/single_file_loop.hpp"
 #include "util/contracts.hpp"
 
 namespace fap::core {
-
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-}  // namespace
 
 BatchAllocator::BatchAllocator(std::size_t width) : width_(width) {
   FAP_EXPECTS(width >= 1, "batch width must be at least 1");
@@ -122,11 +90,7 @@ std::size_t BatchAllocator::submit(const RawInstance& raw,
 
   Instance inst;
   inst.n = raw.n;
-  inst.alpha = options.alpha;
-  inst.epsilon = options.epsilon;
-  inst.dynamic_safety = options.dynamic_safety;
-  inst.dynamic_rule = options.step_rule == StepRule::kDynamic;
-  inst.max_iterations = options.max_iterations;
+  inst.options = options;
   inst.total_rate = raw.total_rate;
   inst.k = raw.k;
   inst.delay = raw.delay;
@@ -140,329 +104,49 @@ std::size_t BatchAllocator::submit(const RawInstance& raw,
   return pending_.size() - 1;
 }
 
-void BatchAllocator::load_lane(std::size_t lane, std::size_t instance_id) {
-  const Instance& inst = pending_[instance_id];
-  const std::size_t s = soa_.stride;
-  for (std::size_t j = 0; j < node_cap_; ++j) {
-    const bool real = j < inst.n;
-    soa_.x[j * s + lane] = real ? inst.start[j] : 0.0;
-    soa_.c[j * s + lane] = real ? inst.access_cost[j] : 0.0;
-    soa_.mu[j * s + lane] = real ? inst.mu[j] : 1.0;
-    soa_.cap[j * s + lane] =
-        (real && !inst.caps.empty()) ? inst.caps[j] : kInf;
-  }
-  lane_inst_[lane] = instance_id;
-  lane_n_[lane] = inst.n;
-  lane_maxit_[lane] = inst.max_iterations;
-  lane_iter_[lane] = 0;
-  lane_eps_[lane] = inst.epsilon;
-  lane_single_[lane] =
-      inst.delay.discipline() != queueing::Discipline::kMMc ? 1 : 0;
-  lane_delay_[lane] = inst.delay;
-  soa_.lane_tr[lane] = inst.total_rate;
-  soa_.lane_k[lane] = inst.k;
-  soa_.lane_scv[lane] = inst.delay.scv();
-  soa_.lane_rho[lane] = inst.delay.rho_max();
-  soa_.lane_nd[lane] = static_cast<double>(inst.n);
-  soa_.lane_dyn[lane] = inst.dynamic_rule ? 1 : 0;
-  soa_.lane_alpha_opt[lane] = inst.alpha;
-  soa_.lane_safety[lane] = inst.dynamic_safety;
-}
-
-void BatchAllocator::refresh_lane_summary() {
-  std::size_t n_min = std::numeric_limits<std::size_t>::max();
-  std::size_t n_max = 0;
-  all_single_ = true;
-  any_dyn_ = false;
-  for (std::size_t k = 0; k < live_; ++k) {
-    n_min = std::min(n_min, lane_n_[k]);
-    n_max = std::max(n_max, lane_n_[k]);
-    all_single_ = all_single_ && lane_single_[k] != 0;
-    any_dyn_ = any_dyn_ || soa_.lane_dyn[k] != 0;
-  }
-  if (live_ == 0) {
-    n_min = n_max = 0;
-  }
-  soa_.live = live_;
-  soa_.n_min = n_min;
-  soa_.n_max = n_max;
-}
-
-void BatchAllocator::compute_derivatives() {
-  if (all_single_) {
-    detail::derivative_rows(soa_, any_dyn_);
-    return;
-  }
-  // A multi-server lane is present: evaluate per lane through the exact
-  // scalar DelayModel entry points (Erlang C has a data-dependent
-  // series; there is nothing to vectorize across lanes).
-  const std::size_t s = soa_.stride;
-  for (std::size_t k = 0; k < live_; ++k) {
-    const queueing::DelayModel& delay = lane_delay_[k];
-    const double tr = soa_.lane_tr[k];
-    const double kk = soa_.lane_k[k];
-    const bool dyn = soa_.lane_dyn[k] != 0;
-    for (std::size_t j = 0; j < lane_n_[k]; ++j) {
-      const double a = tr * soa_.x[j * s + k];
-      const double m = soa_.mu[j * s + k];
-      const double T = delay.sojourn(a, m);
-      const double dT = delay.d_sojourn(a, m);
-      soa_.du[j * s + k] = -(soa_.c[j * s + k] + kk * (T + a * dT));
-      if (dyn) {
-        const double d2T = delay.d2_sojourn(a, m);
-        soa_.d2c[j * s + k] = tr * kk * (2.0 * dT + a * d2T);
-      }
-    }
-  }
-  // Restore the du padding invariant (the per-lane path left stale
-  // values on padding rows).
-  detail::zero_du_padding(soa_);
-}
-
-void BatchAllocator::scalar_lane_step(std::size_t lane) {
-  // A lane with a pinned node: gather it into contiguous scratch, run the
-  // serial group step on it — the SAME shared set-A, dynamic-α, spread
-  // and θ-apply code step_into calls (core/active_set.hpp) — and scatter
-  // the stepped column into xn.
-  const std::size_t s = soa_.stride;
-  const std::size_t n = lane_n_[lane];
-  const bool dynamic = soa_.lane_dyn[lane] != 0;
-  gx_.resize(n);
-  gdu_.resize(n);
-  gcaps_.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    gx_[j] = soa_.x[j * s + lane];
-    gdu_[j] = soa_.du[j * s + lane];
-    gcaps_[j] = soa_.cap[j * s + lane];
-  }
-  if (dynamic) {
-    gd2c_.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      gd2c_[j] = soa_.d2c[j * s + lane];
-    }
-  }
-  ConstraintGroup& group = group_by_n_[n];
-  if (group.indices.size() != n) {
-    group.indices.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      group.indices[j] = j;
-    }
-    group.total = 1.0;
-  }
-
-  // soa_.alpha holds the provisional α the step_sizes pass derived.
-  double al = soa_.alpha[lane];
-  detail::active_set(group, gx_, gdu_, al, gcaps_, n, detail::UnitWeights{},
-                     aset_);
-  const std::vector<std::size_t>& active = aset_.active;
-  if (dynamic) {
-    al = soa_.lane_safety[lane] *
-         detail::dynamic_alpha_bound(gdu_, gd2c_, active,
-                                     soa_.lane_alpha_opt[lane]);
-  }
-  if (detail::marginal_spread(gdu_, active) < lane_eps_[lane]) {
-    term_[lane] = 1;
-    return;
-  }
-  detail::apply_step(active, gx_, gdu_, al, gcaps_, detail::UnitWeights{},
-                     deltas_, gx_);
-  for (std::size_t j = 0; j < n; ++j) {
-    soa_.xn[j * s + lane] = gx_[j];
-  }
-}
-
-double BatchAllocator::column_cost(std::size_t lane,
-                                   const util::AlignedVector& plane) const {
-  // SingleFileModel::cost in node order over the lane's column.
-  const std::size_t s = soa_.stride;
-  const double tr = soa_.lane_tr[lane];
-  const double kk = soa_.lane_k[lane];
-  const queueing::DelayModel& delay = lane_delay_[lane];
-  double total = 0.0;
-  for (std::size_t j = 0; j < lane_n_[lane]; ++j) {
-    const double xj = plane[j * s + lane];
-    if (xj == 0.0) {
-      continue;  // zero fragment contributes zero cost regardless of T_i
-    }
-    const double a = tr * xj;
-    total += xj * (soa_.c[j * s + lane] +
-                   kk * delay.sojourn(a, soa_.mu[j * s + lane]));
-  }
-  return total;
-}
-
-void BatchAllocator::harvest(std::size_t lane,
-                             const util::AlignedVector& plane, bool converged,
-                             std::vector<BatchRunResult>& results) const {
-  const std::size_t s = soa_.stride;
-  BatchRunResult& out = results[lane_inst_[lane]];
-  out.x.resize(lane_n_[lane]);
-  for (std::size_t j = 0; j < lane_n_[lane]; ++j) {
-    out.x[j] = plane[j * s + lane];
-  }
-  out.converged = converged;
-  out.iterations = lane_iter_[lane];
-  out.cost = column_cost(lane, plane);
-}
-
 std::vector<BatchRunResult> BatchAllocator::run_all() {
   stats_ = Stats{};
   stats_.instances = pending_.size();
   std::vector<BatchRunResult> results(pending_.size());
-  if (pending_.empty()) {
-    return results;
-  }
+  detail::SingleFileScratch scratch;
+  std::vector<double> k_t0;
+  std::vector<double> two_dt0;
+  for (std::size_t id = 0; id < pending_.size(); ++id) {
+    const Instance& inst = pending_[id];
+    const std::size_t n = inst.n;
+    detail::zero_load_tables(n, inst.k, inst.delay, inst.mu.data(), k_t0,
+                             two_dt0);
+    detail::SingleFileInstance problem;
+    problem.n = n;
+    problem.rate = inst.total_rate;
+    problem.k = inst.k;
+    problem.delay = &inst.delay;
+    problem.access = inst.access_cost.data();
+    problem.mu = inst.mu.data();
+    problem.k_t0 = k_t0.data();
+    problem.two_dt0 = two_dt0.data();
+    scratch.x = inst.start;
+    const detail::SingleFileOutcome run = detail::run_single_file_loop(
+        problem, inst.caps, inst.options, scratch);
 
-  lanes_ = std::min(width_, pending_.size());
-  node_cap_ = 0;
-  for (const Instance& inst : pending_) {
-    node_cap_ = std::max(node_cap_, inst.n);
-  }
-  if (group_by_n_.size() <= node_cap_) {
-    group_by_n_.resize(node_cap_ + 1);
-  }
-  const std::size_t stride = detail::round_up_stride(lanes_);
-  soa_.stride = stride;
-  const std::size_t cells = node_cap_ * stride;
-  soa_.x.assign(cells, 0.0);
-  soa_.xn.assign(cells, 0.0);
-  soa_.du.assign(cells, 0.0);
-  soa_.d2c.assign(cells, 0.0);
-  soa_.c.assign(cells, 0.0);
-  soa_.mu.assign(cells, 1.0);
-  soa_.cap.assign(cells, kInf);
-  for (util::AlignedVector* v :
-       {&soa_.lane_tr, &soa_.lane_k, &soa_.lane_scv, &soa_.lane_rho,
-        &soa_.lane_nd, &soa_.lane_alpha_opt,
-        &soa_.lane_safety, &soa_.sum_full, &soa_.avg_full, &soa_.alpha,
-        &soa_.lo, &soa_.hi, &soa_.theta}) {
-    v->assign(stride, 0.0);
-  }
-  soa_.lane_dyn.assign(stride, 0);
-  soa_.pinc.assign(stride, 0u);
-  soa_.viol.assign(stride, 0u);
-  lane_inst_.resize(lanes_);
-  lane_n_.resize(lanes_);
-  lane_maxit_.resize(lanes_);
-  lane_iter_.resize(lanes_);
-  lane_eps_.resize(lanes_);
-  lane_single_.resize(lanes_);
-  lane_delay_.resize(lanes_);
-  term_.resize(lanes_);
-  scalar_lane_.resize(lanes_);
-
-  std::size_t next_pending = 0;
-  live_ = 0;
-  while (live_ < lanes_ && next_pending < pending_.size()) {
-    load_lane(live_++, next_pending++);
-  }
-  refresh_lane_summary();
-
-  std::vector<unsigned char> retired(lanes_, 0);
-  const std::size_t s = stride;
-
-  while (live_ > 0) {
-    ++stats_.lockstep_iterations;
-    const std::size_t live = live_;
-
-    compute_derivatives();
-
-    // Dense lockstep passes (each documented in core/batch_kernels.hpp).
-    detail::lane_sums(soa_);
-    detail::step_sizes(soa_);
-    detail::census_theta(soa_);
-    detail::spread(soa_);
-
-    // Classify lanes: full-active lanes resolve termination here (their
-    // θ came out of census_theta); lanes with a pinned node take the
-    // gathered scalar path below, which re-derives everything — the θ
-    // the census computed for them is dead.
-    for (std::size_t k = 0; k < live; ++k) {
-      term_[k] = 0;
-      scalar_lane_[k] = 0;
-      if (soa_.pinc[k] != 0) {
-        scalar_lane_[k] = 1;
-        continue;
+    BatchRunResult& out = results[id];
+    out.x = scratch.x;
+    out.converged = run.converged;
+    out.iterations = run.iterations;
+    // SingleFileModel::cost, in node order.
+    for (std::size_t j = 0; j < n; ++j) {
+      const double xj = out.x[j];
+      if (xj == 0.0) {
+        continue;  // zero fragment contributes zero cost regardless of T_i
       }
-      if (soa_.hi[k] - soa_.lo[k] < lane_eps_[k]) {
-        term_[k] = 1;
-      }
+      const double a = inst.total_rate * xj;
+      out.cost +=
+          xj * (inst.access_cost[j] + inst.k * inst.delay.sojourn(a, inst.mu[j]));
     }
-
-    // Dense apply: xn = clamp(x + θ·α·(du - avg)). Runs for every lane —
-    // terminal lanes harvest from x so their xn garbage is dead, and
-    // scalar lanes overwrite their column immediately after.
-    detail::apply_rows(soa_);
-
-    for (std::size_t k = 0; k < live; ++k) {
-      if (scalar_lane_[k] != 0) {
-        scalar_lane_step(k);
-      }
-    }
-
-    // Retire: termination fires on the PRE-step allocation (serial run()
-    // breaks before the swap), the iteration cap on the post-step one
-    // (serial run() exits the loop after its last swap).
-    bool changed = false;
-    std::fill(retired.begin(), retired.begin() + live, 0);
-    for (std::size_t k = 0; k < live; ++k) {
-      if (term_[k] != 0) {
-        harvest(k, soa_.x, /*converged=*/true, results);
-        retired[k] = 1;
-        changed = true;
-        continue;
-      }
-      ++lane_iter_[k];
-      if (lane_iter_[k] >= lane_maxit_[k]) {
-        harvest(k, soa_.xn, /*converged=*/false, results);
-        retired[k] = 1;
-        changed = true;
-      }
-    }
-
-    std::swap(soa_.x, soa_.xn);
-
-    if (changed) {
-      // Compact survivors left (full-column copies preserve the padding
-      // zeros), then backfill the freed lanes from the pending queue.
-      std::size_t dst = 0;
-      for (std::size_t src = 0; src < live; ++src) {
-        if (retired[src] != 0) {
-          continue;
-        }
-        if (dst != src) {
-          for (std::size_t j = 0; j < node_cap_; ++j) {
-            soa_.x[j * s + dst] = soa_.x[j * s + src];
-            soa_.c[j * s + dst] = soa_.c[j * s + src];
-            soa_.mu[j * s + dst] = soa_.mu[j * s + src];
-            soa_.cap[j * s + dst] = soa_.cap[j * s + src];
-          }
-          lane_inst_[dst] = lane_inst_[src];
-          lane_n_[dst] = lane_n_[src];
-          lane_maxit_[dst] = lane_maxit_[src];
-          lane_iter_[dst] = lane_iter_[src];
-          lane_eps_[dst] = lane_eps_[src];
-          lane_single_[dst] = lane_single_[src];
-          lane_delay_[dst] = lane_delay_[src];
-          soa_.lane_tr[dst] = soa_.lane_tr[src];
-          soa_.lane_k[dst] = soa_.lane_k[src];
-          soa_.lane_scv[dst] = soa_.lane_scv[src];
-          soa_.lane_rho[dst] = soa_.lane_rho[src];
-          soa_.lane_nd[dst] = soa_.lane_nd[src];
-          soa_.lane_dyn[dst] = soa_.lane_dyn[src];
-          soa_.lane_alpha_opt[dst] = soa_.lane_alpha_opt[src];
-          soa_.lane_safety[dst] = soa_.lane_safety[src];
-        }
-        ++dst;
-      }
-      while (dst < lanes_ && next_pending < pending_.size()) {
-        load_lane(dst++, next_pending++);
-      }
-      live_ = dst;
-      refresh_lane_summary();
-    }
+    stats_.lockstep_iterations =
+        std::max(stats_.lockstep_iterations,
+                 run.iterations + (run.converged ? 1 : 0));
   }
-
   pending_.clear();
   return results;
 }

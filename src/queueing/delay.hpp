@@ -24,11 +24,12 @@ namespace fap::queueing {
 namespace detail {
 
 // Single-server Pollaczek–Khinchine primitives. These inline expressions
-// are the ONE definition of the single-server delay law: the scalar
-// DelayModel entry points and the batch kernels (sojourn_batch and the
-// core::BatchAllocator derivative rows) all evaluate exactly these
-// operation sequences, which is what makes the batched paths bit-identical
-// to the scalar ones (pinned by queueing_batch_test).
+// are the ONE definition of the single-server delay law: the checked
+// DelayModel entry points evaluate exactly these operation sequences, and
+// core's shared §5.2 loop (core/single_file_loop.cpp) calls the lin_*
+// forms below directly, without per-call argument checks. That loop is
+// bit-identical to the serial allocator only because lin_* is bitwise
+// equal to the checked entry points (pinned by queueing_batch_test).
 inline double pk_sojourn(double a, double mu, double scv) {
   return 1.0 / mu + a * (1.0 + scv) / (2.0 * mu * (mu - a));
 }
@@ -44,7 +45,7 @@ inline double pk_d2_sojourn(double a, double mu, double scv) {
 }
 
 // Knee-clamped (tangent-extended) single-server evaluations, written
-// branch-free so batch loops over lanes auto-vectorize:
+// branch-free:
 //   ae = min(a, knee),  T(a) = T_pure(ae) + T_pure'(ae) · (a - ae).
 // For a < knee the correction term is exactly +0.0 and T_pure(ae) > 0, so
 // adding it reproduces the pure value bit-for-bit; for a >= knee this is
@@ -128,20 +129,6 @@ class DelayModel {
 
   /// d² sojourn / d a² at the same point (0 on the linear extension).
   double d2_sojourn(double a, double mu) const;
-
-  /// Batch overloads: out[i] = sojourn(a[i], mu[i]) for i < count, with the
-  /// single-server disciplines evaluated branch-free so the loop
-  /// auto-vectorizes; kMMc falls back to the scalar formula per element.
-  /// Bit-identical to calling the scalar entry point per element (pinned by
-  /// queueing_batch_test). Preconditions (a >= 0, mu > 0 and, with
-  /// rho_max == 1, a < capacity) are the caller's responsibility — the
-  /// batch paths do not re-validate per element.
-  void sojourn_batch(const double* a, const double* mu, double* out,
-                     std::size_t count) const;
-  void d_sojourn_batch(const double* a, const double* mu, double* out,
-                       std::size_t count) const;
-  void d2_sojourn_batch(const double* a, const double* mu, double* out,
-                        std::size_t count) const;
 
   /// True when the (pure) queue is stable at this arrival rate, i.e. a < μ.
   static bool stable(double a, double mu) noexcept { return a < mu; }

@@ -99,11 +99,12 @@ auto sweep(std::size_t count, const SweepOptions& options, Fn&& fn)
 /// Batch-submission sweep: packs `count` items into contiguous batches of
 /// at most `width` and runs each batch as ONE sweep task (so --jobs
 /// distributes whole batches and --metrics gets one record per batch,
-/// automatically carrying a "batch_size" value). Designed for
-/// core::BatchAllocator: `make(i, task_seed(base_seed, i))` builds item
-/// i's submission; `run(first_index, items)` consumes one batch and
-/// returns a vector of per-item results in item order, which batch_sweep
-/// flattens back into global item order. Because every item's seed
+/// automatically carrying a "batch_size" value). Used for
+/// core::BatchAllocator queues and the catalog's per-task object runs:
+/// `make(i, task_seed(base_seed, i))` builds item i's submission;
+/// `run(first_index, items)` consumes one batch and returns a vector of
+/// per-item results in item order, which batch_sweep flattens back into
+/// global item order. Because every item's seed
 /// derives from its global index and `run` must treat items
 /// independently, the flattened result is byte-identical across jobs
 /// AND width choices — partitioning cannot be observed.

@@ -1,17 +1,19 @@
-// The batched SoA kernel's load-bearing contract: BatchAllocator::run_all
-// returns results BITWISE equal to running each submission through the
-// serial ResourceDirectedAllocator — same x (every lane of every
-// iteration executes the serial operation sequence), same cost, same
+// BatchAllocator's load-bearing contract: run_all returns results BITWISE
+// equal to running each submission through the serial
+// ResourceDirectedAllocator — same x (every iteration of the shared §5.2
+// loop executes the serial operation sequence), same cost, same
 // iteration count, same convergence flag. The pin is across randomized
-// instances mixing topologies, delay disciplines, step rules, storage
-// capacities and boundary starts, at several batch widths (partitioning
-// into lanes must not be observable).
+// instances mixing dimensions, topologies, delay disciplines, step rules,
+// storage capacities and boundary starts in one queue, at several batch
+// widths (the width must not be observable).
 #include "core/batch_allocator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -75,12 +77,11 @@ DelayModel random_delay(Rng& rng) {
     case 2:
       return DelayModel::mg1(rng.uniform(0.2, 2.5));
     case 3:
-      // Tangent-extended curve: exercises the knee clamp in the
-      // vectorized derivative rows.
+      // Tangent-extended curve: exercises the knee clamp of the inline
+      // delay primitives.
       return DelayModel::mm1(rng.uniform(0.5, 0.9));
     default:
-      // Multi-server lane: forces the whole batch onto the per-lane
-      // scalar derivative path.
+      // Multi-server: evaluated through the checked entry points.
       return DelayModel::mmc(2 + rng.uniform_index(3));
   }
 }
@@ -195,15 +196,27 @@ void expect_matches_serial(const RandomInstance& inst,
   }
 }
 
-// The headline pin: >= 200 randomized instances, two batch widths, every
-// result field bitwise equal to the serial allocator.
+// The headline pin: >= 200 randomized instances in one queue, two batch
+// widths, every result field bitwise equal to the serial allocator.
 TEST(BatchAllocator, BitIdenticalToSerialAcrossRandomizedInstances) {
   constexpr std::size_t kInstances = 200;
   std::vector<RandomInstance> instances;
   instances.reserve(kInstances);
+  std::set<std::size_t> dimensions;
+  std::size_t capped = 0;
+  std::size_t multi_server = 0;
   for (std::size_t i = 0; i < kInstances; ++i) {
     instances.push_back(make_random_instance(1000 + i));
+    const SingleFileProblem& problem = instances.back().model.problem();
+    dimensions.insert(problem.mu.size());
+    capped += problem.storage_capacity.empty() ? 0 : 1;
+    multi_server +=
+        problem.delay.discipline() == fap::queueing::Discipline::kMMc ? 1 : 0;
   }
+  // One run_all must mix dimensions, storage caps and M/M/c instances.
+  EXPECT_GE(dimensions.size(), 5u);
+  EXPECT_GT(capped, 0u);
+  EXPECT_GT(multi_server, 0u);
   for (const std::size_t width : {std::size_t{8}, std::size_t{64}}) {
     BatchAllocator batch(width);
     for (const RandomInstance& inst : instances) {
@@ -255,6 +268,31 @@ TEST(BatchAllocator, AlreadyConvergedLaneRetiresImmediately) {
   EXPECT_EQ(results[0].converged, serial.converged);
   EXPECT_EQ(results[0].iterations, serial.iterations);
   EXPECT_TRUE(BitsEqual(results[0].cost, serial.cost));
+}
+
+// Stats::lockstep_iterations is the longest instance in loop passes:
+// steps, plus the terminating check of a converged instance. For a
+// width-sized queue that mixes converged and capped instances it equals
+// the pass count of a lockstep run (the value pinned here is the one the
+// lockstep engine reported for this queue).
+TEST(BatchAllocator, LockstepIterationsIsTheLongestInstance) {
+  constexpr std::size_t kInstances = 16;
+  BatchAllocator batch(kInstances);
+  for (std::size_t i = 0; i < kInstances; ++i) {
+    const RandomInstance inst = make_random_instance(5000 + i);
+    batch.submit(inst.model, inst.options, inst.start);
+  }
+  const std::vector<BatchRunResult> results = batch.run_all();
+  std::size_t converged = 0;
+  std::size_t longest = 0;
+  for (const BatchRunResult& run : results) {
+    converged += run.converged ? 1 : 0;
+    longest = std::max(longest, run.iterations + (run.converged ? 1 : 0));
+  }
+  ASSERT_GT(converged, 0u);
+  ASSERT_LT(converged, kInstances);
+  EXPECT_EQ(batch.stats().lockstep_iterations, longest);
+  EXPECT_EQ(batch.stats().lockstep_iterations, 154u);
 }
 
 TEST(BatchAllocator, RunAllOnEmptyQueueReturnsEmpty) {
@@ -326,9 +364,9 @@ TEST(BatchAllocator, RawSubmitMatchesModelSubmitBitwise) {
   }
 }
 
-// A third batch width over a fresh seed range: the row passes run_all()
-// calls (the one scalar set, reported as such in Stats) must be bitwise
-// equal to the serial allocator whatever the lane partitioning.
+// A third batch width over a fresh seed range: run_all() (whose one loop
+// Stats reports as "scalar") must be bitwise equal to the serial
+// allocator whatever the width.
 TEST(BatchAllocator, DispatchedKernelsMatchSerialAndScalar) {
   constexpr std::size_t kInstances = 40;
   BatchAllocator batch(16);

@@ -1,9 +1,10 @@
-// Batch delay-law overloads and delay-curve edge behavior.
+// Inline single-server delay primitives and delay-curve edge behavior.
 //
-// Two concerns share this suite: (1) the vectorizable *_batch overloads
-// must be bit-identical to the scalar entry points element for element —
-// that identity is what lets the batched allocator kernel claim
-// bit-identical trajectories; (2) the delay laws' edge regions — the
+// Two concerns share this suite: (1) the inline queueing::detail::lin_*
+// primitives must be bit-identical to the checked scalar entry points —
+// core's shared §5.2 loop evaluates single-server laws through them, and
+// that identity is what keeps it bit-identical to the serial allocator;
+// (2) the delay laws' edge regions — the
 // rho_max knee, the linearized overload branch, and the derivative
 // formulas themselves — are pinned against finite differences of the
 // sojourn curve.
@@ -48,39 +49,35 @@ void fill_random_points(const DelayModel& model, Rng& rng, std::size_t count,
 }
 
 TEST(DelayBatch, BitIdenticalToScalarAcrossModelsAndPoints) {
+  namespace detail = fap::queueing::detail;
   Rng rng(2024);
+  std::size_t single_server = 0;
   for (const DelayModel& model : interesting_models()) {
+    if (model.discipline() == Discipline::kMMc) {
+      continue;  // no inline form: the loop calls the entry points
+    }
+    ++single_server;
     std::vector<double> a;
     std::vector<double> mu;
-    fill_random_points(model, rng, 257, a, mu);  // odd: exercise tails
-    std::vector<double> out(a.size());
-
-    model.sojourn_batch(a.data(), mu.data(), out.data(), a.size());
+    fill_random_points(model, rng, 257, a, mu);
+    const double scv = model.scv();
+    const double rho = model.rho_max();
     for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    detail::lin_sojourn(a[i], mu[i], scv, rho)),
                 std::bit_cast<std::uint64_t>(model.sojourn(a[i], mu[i])))
           << "sojourn point " << i;
-    }
-    model.d_sojourn_batch(a.data(), mu.data(), out.data(), a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    detail::lin_d_sojourn(a[i], mu[i], scv, rho)),
                 std::bit_cast<std::uint64_t>(model.d_sojourn(a[i], mu[i])))
           << "d_sojourn point " << i;
-    }
-    model.d2_sojourn_batch(a.data(), mu.data(), out.data(), a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    detail::lin_d2_sojourn(a[i], mu[i], scv, rho)),
                 std::bit_cast<std::uint64_t>(model.d2_sojourn(a[i], mu[i])))
           << "d2_sojourn point " << i;
     }
   }
-}
-
-TEST(DelayBatch, ZeroCountIsANoOp) {
-  const DelayModel model = DelayModel::mm1();
-  model.sojourn_batch(nullptr, nullptr, nullptr, 0);
-  model.d_sojourn_batch(nullptr, nullptr, nullptr, 0);
-  model.d2_sojourn_batch(nullptr, nullptr, nullptr, 0);
+  EXPECT_EQ(single_server, 7u);
 }
 
 // --- rho_max knee boundary -------------------------------------------
