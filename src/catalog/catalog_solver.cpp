@@ -96,10 +96,26 @@ std::size_t CatalogSolver::start_node(std::size_t o,
   // Cheapest full concentration: argmin_i C_i^o + v_o p_i + k·T(λ_o, μ_i)
   // (the priced access vector already carries the first two terms).
   // Strict < keeps the lowest index on ties.
+  //
+  // Node i is skipped, without evaluating its delay law, when its
+  // zero-load cost C_i + k·T_i(0) is not below the best cost so far. The
+  // skip is exact: as computed, T(λ, μ) ≥ T(0, μ) = fl(1/μ), because
+  // every law adds a non-negative term to fl(1/μ) (the P-K or Erlang-C
+  // queueing term, and on a tangent extension a positive slope times
+  // λ − knee ≥ 0), and k ≥ 0 and both additions round monotonically. So
+  // the node's cost could not have beaten best_cost under strict <, and
+  // the argmin and its tie rule are unchanged. The M/M/c tangent's slope
+  // is a finite difference of Erlang C, which rounding could make
+  // negative, so M/M/c with an extension is scanned in full.
+  const bool prune = spec_.delay.discipline() != queueing::Discipline::kMMc ||
+                     spec_.delay.rho_max() >= 1.0;
   const double rate = spec_.rate[o];
   std::size_t best = 0;
   double best_cost = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < spec_.node_count(); ++i) {
+    if (prune && access[i] + k_t0_[i] >= best_cost) {
+      continue;
+    }
     const double cost =
         access[i] + spec_.k * spec_.delay.sojourn(rate, spec_.mu[i]);
     if (cost < best_cost) {

@@ -9,7 +9,8 @@
 //      objects one after another through core's shared §5.2 loop
 //      (core/single_file_loop.hpp) on one reused set of contiguous
 //      scratch. Zero-share nodes read their marginal from a per-node
-//      zero-load table built once here (DESIGN.md, catalog inner solve).
+//      zero-load table built once here, and objects whose point-mass
+//      start is already optimal stop before set A (DESIGN.md §4g).
 //   3. Account the resulting node loads Σ_o v_o x_i^o (compensated
 //      summation in canonical object order) and let the price loop step;
 //      repeat from 2 until the relative overload is within tolerance or
@@ -141,7 +142,10 @@ class CatalogSolver {
   /// Object o's deterministic start: a point mass on the node minimizing
   /// the full-concentration cost C_i^o + v_o p_i + k·T(λ_o, μ_i), ties
   /// to the lowest index. A pure function of (object, prices), so
-  /// sharding cannot perturb it.
+  /// sharding cannot perturb it. The scan skips the delay law of any node
+  /// whose zero-load cost C_i^o + v_o p_i + k·T_i(0) already fails to
+  /// beat the best so far; that cannot change the result, since the
+  /// computed T(λ, μ) never falls below T(0, μ) (see start_node).
   std::vector<double> object_start(std::size_t o,
                                    const std::vector<double>& prices) const;
 
@@ -199,7 +203,8 @@ class CatalogSolver {
   std::vector<double> base_cost_;  ///< Σ_j w_j c_ji
   /// Zero-load tables: k·T_i(0) and 2·T'_i(0). At x_i = 0 the marginal
   /// −(C_i + k(T + a·T')) and curvature λk(2T' + a·T'') read these bit
-  /// for bit, since a = λ·0 = +0 (see solve_object).
+  /// for bit, since a = λ·0 = +0 (see solve_object); k·T_i(0) is also
+  /// start_node's lower bound on k·T(λ_o, μ_i).
   std::vector<double> k_t0_;
   std::vector<double> two_dt0_;
 };

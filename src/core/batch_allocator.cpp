@@ -74,11 +74,13 @@ std::size_t BatchAllocator::submit(const RawInstance& raw,
   }
 
   // Start feasibility, mirroring CostModel::check_feasible (tol 1e-9,
-  // one Σ = 1 group).
+  // one Σ = 1 group), except that no share may be negative at all: the
+  // serial allocator's first delay evaluation throws at a = λ·x_i < 0,
+  // which the shared loop's unchecked single-server laws would not.
   constexpr double kTol = 1e-9;
   double start_sum = 0.0;
   for (std::size_t i = 0; i < raw.n; ++i) {
-    FAP_EXPECTS(raw.start[i] >= -kTol, "allocation must be non-negative");
+    FAP_EXPECTS(raw.start[i] >= 0.0, "start shares must be non-negative");
     if (raw.caps != nullptr) {
       FAP_EXPECTS(raw.start[i] <= raw.caps[i] + kTol,
                   "allocation exceeds a storage capacity");

@@ -53,8 +53,9 @@ class BatchAllocator {
   /// vector. Copies everything it needs from `model` (the reference need
   /// not outlive the call): checks `start` against the model, then
   /// submits the model's own fields through submit(RawInstance). Throws
-  /// PreconditionError on infeasible `start`, invalid options, or options
-  /// requesting trace recording.
+  /// PreconditionError on infeasible `start` (including a negative share
+  /// inside the feasibility tolerance, on which the serial run() throws
+  /// too), invalid options, or options requesting trace recording.
   std::size_t submit(const SingleFileModel& model,
                      const AllocatorOptions& options,
                      std::vector<double> start);
@@ -80,7 +81,7 @@ class BatchAllocator {
   /// Raw-field twin of submit(model, ...): applies the same validations
   /// SingleFileModel's constructor and check_feasible() would (positive
   /// rates, stability under pure delay models, capacity admits a whole
-  /// file, feasible start) and queues an instance that run_all() treats
+  /// file, feasible start with no negative share) and queues an instance that run_all() treats
   /// identically — submitting the model's own access_costs()/μ/caps here
   /// yields bitwise the same results.
   std::size_t submit(const RawInstance& raw, const AllocatorOptions& options);

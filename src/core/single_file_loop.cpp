@@ -1,5 +1,9 @@
 #include "core/single_file_loop.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "util/contracts.hpp"
 
 namespace fap::core::detail {
@@ -9,10 +13,9 @@ namespace {
 // Single-server laws through the inline primitives, which are bit-equal
 // to the checked DelayModel entry points (queueing_batch_test pins it).
 // Dropping the per-evaluation argument checks is sound only because every
-// caller has already established μ_i > 0 and stability (BatchAllocator::
-// submit, CatalogSpec::validate) and each step clamps x into [0, cap].
-// One gap: a start share inside the feasibility tolerance below 0 is
-// evaluated here, where the serial allocator's checked call throws.
+// caller has already established μ_i > 0, stability and a start with no
+// negative share (BatchAllocator::submit, CatalogSpec::validate) and each
+// step clamps x into [0, cap].
 struct InlineLaw {
   double scv;
   double rho_max;
@@ -70,9 +73,36 @@ SingleFileOutcome run_loop(const SingleFileInstance& inst, const Law& law,
     }
   };
 
+  // The refresh pass also gathers the point-mass certificate's inputs
+  // (header, "Three shortcuts"): the support, the best empty marginal and
+  // M = max_i |∂U_i|.
+  std::size_t nonzero = 0;
+  std::size_t support = 0;
+  double best_empty = -std::numeric_limits<double>::infinity();
+  double max_abs = 0.0;
+  bool finite = true;
   for (std::size_t i = 0; i < n; ++i) {
     refresh(i);
+    const double du = s.du[i];
+    if (s.x[i] != 0.0) {
+      ++nonzero;
+      support = i;
+    } else {
+      best_empty = std::max(best_empty, du);
+    }
+    max_abs = std::max(max_abs, std::fabs(du));
+    finite = finite && std::isfinite(du);
   }
+  const double dn = static_cast<double>(n);
+  const bool point_mass = caps.empty() && nonzero == 1 &&
+                          s.x[support] == 1.0 &&
+                          best_empty < s.du[support] && finite &&
+                          max_abs < std::numeric_limits<double>::max() / dn;
+  // R = 4n²·u·M·(2 + ln n) and n·u·M, u = 2⁻⁵³.
+  constexpr double kUnit = std::numeric_limits<double>::epsilon() / 2.0;
+  const double nu_m = dn * kUnit * max_abs;
+  const double spread_bound =
+      point_mass ? 4.0 * dn * nu_m * (2.0 + std::log(dn)) : 0.0;
 
   SingleFileOutcome out;
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
@@ -82,6 +112,13 @@ SingleFileOutcome run_loop(const SingleFileInstance& inst, const Law& law,
       alpha = options.dynamic_safety *
               dynamic_alpha_bound(s.du, s.d2c, s.group.indices,
                                   options.alpha);
+    }
+    // Set A from this start is certain to pass the ε test (header proof),
+    // so stop exactly where the loop below would, without building it.
+    if (iter == 0 && point_mass && options.epsilon > spread_bound &&
+        alpha * nu_m >= std::numeric_limits<double>::min()) {
+      out.converged = true;
+      break;
     }
     active_set(s.group, s.x, s.du, alpha, caps, n, UnitWeights{}, s.aset);
     const std::vector<std::size_t>& active = s.aset.active;

@@ -37,6 +37,7 @@
 #include "net/generators.hpp"
 #include "net/hierarchy.hpp"
 #include "net/shortest_paths.hpp"
+#include "test_helpers.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
 #include "util/rng.hpp"
@@ -921,6 +922,123 @@ TEST(CatalogSolver, ZeroLoadMarginalIdentityHoldsForEveryDelayModel) {
       }
     }
   }
+}
+
+// The start scan's pruning rests on this: as computed, the sojourn time
+// never falls below its zero-load value, T(a, μ) ≥ T(0, μ) = fl(1/μ),
+// for every delay law, below and (for the extended laws) above the knee.
+// start_node prunes on it for every law but extended M/M/c, whose
+// finite-difference tangent slope it cannot prove non-negative; that law
+// is sampled here as well.
+TEST(CatalogSolver, SojournNeverFallsBelowItsZeroLoadValue) {
+  fap::util::Rng rng(45);
+  for (const DelayModel& delay : fap::testing::interesting_models()) {
+    for (int trial = 0; trial < 400; ++trial) {
+      const double mu = rng.uniform(0.05, 20.0);
+      const double capacity = delay.capacity(mu);
+      const double knee = delay.rho_max() * capacity;
+      const double t0 = delay.sojourn(0.0, mu);
+      EXPECT_TRUE(BitsEqual(t0, 1.0 / mu));
+      const double below =
+          trial == 0 ? 0.0 : rng.uniform(0.0, 0.999) * knee;
+      EXPECT_GE(delay.sojourn(below, mu), t0) << "a " << below;
+      if (delay.rho_max() < 1.0) {
+        const double above = knee * rng.uniform(1.0, 4.0);
+        EXPECT_GE(delay.sojourn(above, mu), t0) << "a " << above;
+      }
+    }
+  }
+}
+
+// object_start's pruned scan returns the full argmin: randomized priced
+// catalogs under every delay law, on networks where some nodes are exact
+// copies of others (same costs, rates and prices), so the strict-<
+// lowest-index tie rule is exercised.
+TEST(CatalogSolver, ObjectStartMatchesUnprunedArgmin) {
+  fap::util::Rng rng(46);
+  std::size_t ties = 0;
+  for (const DelayModel& delay : fap::testing::interesting_models()) {
+    for (int trial = 0; trial < 3; ++trial) {
+      // Base network plus copies: node i plays base node source[i].
+      const std::size_t base = 3 + rng.uniform_index(6);
+      std::vector<std::size_t> source(base);
+      for (std::size_t b = 0; b < base; ++b) {
+        source[b] = b;
+      }
+      const std::size_t copies = 1 + rng.uniform_index(base);
+      for (std::size_t c = 0; c < copies; ++c) {
+        const std::size_t pos = rng.uniform_index(source.size() + 1);
+        source.insert(source.begin() + static_cast<std::ptrdiff_t>(pos),
+                      rng.uniform_index(base));
+      }
+      const std::size_t n = source.size();
+      std::vector<std::vector<double>> base_cost(base,
+                                                 std::vector<double>(base));
+      std::vector<double> base_mu(base);
+      std::vector<double> base_price(base);
+      for (std::size_t a = 0; a < base; ++a) {
+        base_mu[a] = rng.uniform(0.5, 3.0);
+        base_price[a] = rng.uniform(0.0, 2.0);
+        for (std::size_t b = 0; b < base; ++b) {
+          base_cost[a][b] = a == b ? 0.0 : rng.uniform(0.5, 4.0);
+        }
+      }
+      CatalogSpec spec;
+      spec.comm = fap::net::CostMatrix(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          spec.comm.set_cost(i, j, base_cost[source[i]][source[j]]);
+        }
+        spec.mu.push_back(base_mu[source[i]]);
+      }
+      std::vector<double> prices(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        prices[i] = base_price[source[i]];
+      }
+      spec.k = rng.uniform(0.1, 3.0);
+      spec.delay = delay;
+      spec.origin_weight.assign(n, 1.0 / static_cast<double>(n));
+      spec.locality = rng.uniform(0.0, 1.0);
+      double capacity = std::numeric_limits<double>::infinity();
+      for (const double mu : spec.mu) {
+        capacity = std::min(capacity, delay.capacity(mu));
+      }
+      double volume_total = 0.0;
+      for (int o = 0; o < 60; ++o) {
+        // Past the knee for the extended laws.
+        spec.rate.push_back(
+            rng.uniform(0.01, delay.rho_max() < 1.0 ? 2.0 : 0.95) *
+            capacity);
+        spec.volume.push_back(rng.uniform(0.1, 1.0));
+        spec.home.push_back(static_cast<std::uint32_t>(rng.uniform_index(n)));
+        volume_total += spec.volume.back();
+      }
+      spec.node_capacity.assign(n, volume_total);
+      const CatalogSolver solver(spec, CatalogOptions{});
+
+      for (std::size_t o = 0; o < spec.object_count(); ++o) {
+        const std::vector<double> access = solver.object_access_cost(o, prices);
+        std::size_t best = 0;
+        double best_cost = std::numeric_limits<double>::infinity();
+        for (std::size_t i = 0; i < n; ++i) {
+          const double cost =
+              access[i] + spec.k * delay.sojourn(spec.rate[o], spec.mu[i]);
+          if (cost < best_cost) {
+            best_cost = cost;
+            best = i;
+          }
+        }
+        std::vector<double> expected(n, 0.0);
+        expected[best] = 1.0;
+        EXPECT_EQ(solver.object_start(o, prices), expected)
+            << "object " << o;
+        for (std::size_t i = best + 1; i < n; ++i) {
+          ties += source[i] == source[best] ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(ties, 0u);  // a later copy of the winner lost on index
 }
 
 }  // namespace

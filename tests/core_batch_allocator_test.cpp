@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "core/allocator.hpp"
 #include "core/single_file.hpp"
 #include "net/generators.hpp"
+#include "test_helpers.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -293,6 +296,152 @@ TEST(BatchAllocator, LockstepIterationsIsTheLongestInstance) {
   ASSERT_LT(converged, kInstances);
   EXPECT_EQ(batch.stats().lockstep_iterations, longest);
   EXPECT_EQ(batch.stats().lockstep_iterations, 154u);
+}
+
+// A single-file model whose access costs are given directly (the
+// catalog's per-object shape): λ originates at node 0, C_i = access[i].
+SingleFileModel model_with_access(const std::vector<double>& access,
+                                  const std::vector<double>& mu, double rate,
+                                  double k, const DelayModel& delay) {
+  std::vector<double> lambda(access.size(), 0.0);
+  lambda[0] = rate;
+  return SingleFileModel(SingleFileProblem{fap::net::CostMatrix(0),
+                                           std::move(lambda),
+                                           mu,
+                                           k,
+                                           delay,
+                                           {},
+                                           {},
+                                           access,
+                                           nullptr});
+}
+
+// The shared loop's point-mass certificate (core/single_file_loop.hpp)
+// may skip set A only where the serial allocator stops at iteration 0
+// too. Point-mass starts for every delay shape under both step rules,
+// with the best empty node's marginal placed 0, 1 and 2 ulps below and
+// above the support's, ε on both sides of the certificate's rounding
+// bound R = 4n²·2⁻⁵³·M·(2 + ln n), and plain instances that are optimal
+// or that move.
+TEST(BatchAllocator, PointMassStartsMatchSerialAcrossNearTies) {
+  Rng rng(31);
+  std::vector<RandomInstance> instances;
+  for (const DelayModel& delay : fap::testing::interesting_models()) {
+    for (const StepRule rule : {StepRule::kFixed, StepRule::kDynamic}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const std::size_t n = 3 + rng.uniform_index(8);
+        const std::size_t s = rng.uniform_index(n);
+        // j gets the near-tie below. μ_j = 1 and a dyadic k make
+        // k·T_j(0) = k exact, so C_j = −target − k is exact and every
+        // ulp offset of the target is reachable.
+        const std::size_t j = (s + 1 + rng.uniform_index(n - 1)) % n;
+        const double k = static_cast<double>(1 + rng.uniform_index(8)) / 4.0;
+        std::vector<double> mu(n);
+        std::vector<double> access(n);
+        double capacity = std::numeric_limits<double>::infinity();
+        for (std::size_t i = 0; i < n; ++i) {
+          mu[i] = i == j ? 1.0 : rng.uniform(1.0, 3.0);
+          access[i] = rng.uniform(0.0, 4.0);
+          capacity = std::min(capacity, delay.capacity(mu[i]));
+        }
+        // Past the knee for the tangent-extended laws.
+        const double rate =
+            rng.uniform(0.1, delay.rho_max() < 1.0 ? 1.5 : 0.9) * capacity;
+        AllocatorOptions options;
+        options.step_rule = rule;
+        options.alpha = rng.uniform(0.05, 0.5);
+        options.dynamic_safety = rng.uniform(0.3, 0.9);
+        options.max_iterations = 60;
+        std::vector<double> start(n, 0.0);
+        start[s] = 1.0;
+
+        // As drawn: optimal or not, at the catalog's ε.
+        options.epsilon = 1e-4;
+        instances.push_back(
+            {model_with_access(access, mu, rate, k, delay), options, start});
+
+        // Near-ties: node j's zero-load marginal −(C_j + k·T_j(0)) set a
+        // few ulps from ∂U_s, every other empty node well below both.
+        access[s] = k + rng.uniform(0.0, 3.0);  // keeps C_j >= 0
+        const double du_s = model_with_access(access, mu, rate, k, delay)
+                                 .marginal_utilities(start)[s];
+        const double k_t0_j = k * delay.sojourn(0.0, mu[j]);
+        ASSERT_EQ(k_t0_j, k);
+        for (const int ulps : {-2, -1, 0, 1, 2}) {
+          double target = du_s;
+          for (int step = 0; step < std::abs(ulps); ++step) {
+            target = std::nextafter(
+                target, ulps < 0 ? -std::numeric_limits<double>::infinity()
+                                 : std::numeric_limits<double>::infinity());
+          }
+          const double c = -target - k_t0_j;
+          std::vector<double> tied = access;
+          tied[j] = c;
+          for (std::size_t l = 0; l < n; ++l) {
+            if (l != s && l != j) {
+              tied[l] = c + k_t0_j + rng.uniform(0.5, 2.0);
+            }
+          }
+          const SingleFileModel model =
+              model_with_access(tied, mu, rate, k, delay);
+          const std::vector<double> du = model.marginal_utilities(start);
+          ASSERT_EQ(du[s], du_s);
+          ASSERT_EQ(du[j], target);
+          double max_abs = 0.0;
+          for (const double v : du) {
+            max_abs = std::max(max_abs, std::fabs(v));
+          }
+          const double dn = static_cast<double>(n);
+          const double bound = 4.0 * dn * dn * std::ldexp(max_abs, -53) *
+                               (2.0 + std::log(dn));
+          // Half the gap below ∂U_s: under the spread of a set A that
+          // keeps j, so there the loop must step although ∂U_s is still
+          // the unique maximum.
+          const double half_gap = ulps < 0 ? (du_s - target) / 2.0 : 0.0;
+          for (const double epsilon : {bound * (1.0 - 1e-6),
+                                       bound * (1.0 + 1e-6), 1e-4,
+                                       half_gap}) {
+            if (epsilon > 0.0) {
+              options.epsilon = epsilon;
+              instances.push_back({model, options, start});
+            }
+          }
+        }
+      }
+    }
+  }
+
+  BatchAllocator batch;
+  for (const RandomInstance& inst : instances) {
+    batch.submit(inst.model, inst.options, inst.start);
+  }
+  const std::vector<BatchRunResult> results = batch.run_all();
+  ASSERT_EQ(results.size(), instances.size());
+  std::size_t stopped_at_start = 0;
+  std::size_t stepped = 0;
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    expect_matches_serial(instances[i], results[i], i);
+    stopped_at_start +=
+        results[i].converged && results[i].iterations == 0 ? 1 : 0;
+    stepped += results[i].iterations > 0 ? 1 : 0;
+  }
+  // The queue must mix starts that stop at once with starts that move.
+  EXPECT_GT(stopped_at_start, 20u);
+  EXPECT_GT(stepped, 20u);
+}
+
+// A start share inside the feasibility tolerance below zero: the serial
+// allocator's first delay evaluation throws, so submit() rejects it too.
+TEST(BatchAllocator, NegativeStartShareThrowsInBothPaths) {
+  const SingleFileModel model(fap::core::make_paper_ring_problem());
+  const AllocatorOptions options;
+  const std::vector<double> start = {-5e-10, 0.5 + 5e-10, 0.25, 0.25};
+  EXPECT_THROW(ResourceDirectedAllocator(model, options).run(start),
+               fap::util::PreconditionError);
+  BatchAllocator batch;
+  EXPECT_THROW(batch.submit(model, options, start),
+               fap::util::PreconditionError);
+  EXPECT_EQ(batch.pending(), 0u);
 }
 
 TEST(BatchAllocator, RunAllOnEmptyQueueReturnsEmpty) {

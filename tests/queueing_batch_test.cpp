@@ -15,23 +15,15 @@
 #include <vector>
 
 #include "queueing/delay.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using fap::queueing::DelayModel;
 using fap::queueing::Discipline;
+using fap::testing::interesting_models;
 using fap::util::Rng;
-
-std::vector<DelayModel> interesting_models() {
-  return {
-      DelayModel::mm1(),          DelayModel::md1(),
-      DelayModel::mg1(0.3),       DelayModel::mg1(2.4),
-      DelayModel::mm1(0.7),       DelayModel::md1(0.85),
-      DelayModel::mg1(1.7, 0.6),  DelayModel::mmc(2),
-      DelayModel::mmc(4, 0.8),
-  };
-}
 
 // Random (a, mu) pairs valid for `model`: overload region included for
 // linearized models, a < capacity enforced for pure ones.

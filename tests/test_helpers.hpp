@@ -8,6 +8,7 @@
 #include "core/ring_model.hpp"
 #include "core/single_file.hpp"
 #include "net/generators.hpp"
+#include "queueing/delay.hpp"
 #include "util/rng.hpp"
 
 namespace fap::testing {
@@ -84,6 +85,19 @@ inline core::RingProblem random_ring_problem(std::uint64_t seed,
   problem.k = rng.uniform(0.3, 2.0);
   problem.delay = queueing::DelayModel::mm1(/*rho_max=*/0.95);
   return problem;
+}
+
+/// One delay law of every shape the allocators accept: the single-server
+/// disciplines pure and tangent-extended, and M/M/c pure and extended.
+inline std::vector<queueing::DelayModel> interesting_models() {
+  using queueing::DelayModel;
+  return {
+      DelayModel::mm1(),          DelayModel::md1(),
+      DelayModel::mg1(0.3),       DelayModel::mg1(2.4),
+      DelayModel::mm1(0.7),       DelayModel::md1(0.85),
+      DelayModel::mg1(1.7, 0.6),  DelayModel::mmc(2),
+      DelayModel::mmc(4, 0.8),
+  };
 }
 
 }  // namespace fap::testing
