@@ -61,7 +61,7 @@
 //       minimum takes at most n values, so σ > B lasts at most n − 1
 //       rounds in a row; after that (a) and (b) keep σ ≤ B + D ≤ 2B.
 //   (5) The ε test computes fl(σ) ≤ 2B(1 + u) < R, because
-//       R − 2B = 2n²·u·M. So fl(σ) < ε: converged, with no step taken.
+//       R − 2B ≥ 2n²·u·M. So fl(σ) < ε: converged, with no step taken.
 // A bound of 4n²·u·M alone covers the exits after an unchanged round;
 // the (2 + ln n) factor pays for the round limit. At n = 100 and the
 // catalog's ε = 1e-4 the check applies to any object with M below ~3e6.
